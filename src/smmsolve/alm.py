@@ -4,7 +4,10 @@ The outer loop solves the smoothed subproblem with the semismooth
 Newton-CG solver, updates the multipliers by the scaled constraint
 residuals, and grows the penalty when primal feasibility stalls.  The
 subproblem accuracy follows one of two summable-sequence rules evaluated
-at the candidate iterate; both are exposed for testing.
+at the candidate iterate; both are exposed for testing.  A subproblem
+whose gradient reaches its float64 roundoff floor counts as solved, so the
+penalty is escalated and the step retried only on a real failure (see
+``solve``).
 """
 
 from __future__ import annotations
@@ -202,9 +205,28 @@ def solve(
 ) -> Solution:
     """Run the augmented Lagrangian method to the requested KKT accuracy.
 
-    The origin is the default starting point.  On subproblem
-    non-convergence the penalty is escalated and the step retried a
-    bounded number of times before the best iterate is returned flagged.
+    The origin is the default starting point.  Each outer iteration runs
+    one SNCG subproblem, which ends converged when the inexactness rule
+    fires ("criterion-A", "criterion-B", "criterion-A+B"), the gradient is
+    zero ("zero-gradient"), or the gradient sits at its float64 roundoff
+    floor ("roundoff-floor"); see ``sncg``.  Only a real failure, a
+    line-search stall above the floor or an exhausted Newton budget,
+    triggers a retry: the penalty is escalated and the step redone, at
+    most ``retry_limit`` times in a row (flag ``subproblem-retry@k``).
+    After that the failed result is accepted with the flag
+    ``subproblem-nonconvergence``, and the solve can no longer report
+    ``converged``.
+
+    The solve stops when the KKT measure meets ``kkt_tol``, when the
+    relative objective gap meets ``relobj_tol`` (flag
+    ``stopped-on-relobj``), at ``time_limit`` (flag ``time-limit``), or
+    after ``max_outer_iter`` attempts.  ``converged`` holds only for the
+    first two and only if no subproblem failure was accepted.
+
+    ``report.history`` has one row per subproblem attempt, retried ones
+    included: its penalty, Newton and CG counts, |J1|, rank, stop
+    reason, whether it was ``accepted``, and the elapsed time.  Accepted
+    rows add the KKT residual and the objective.
     """
     if config is None:
         config = AlmConfig()
@@ -247,9 +269,22 @@ def solve(
         stop = _criterion_closure(config, ctx, lam, Lam, eps_k, eta_k)
         sub = sncg.solve_subproblem(ctx, W, b, stop, config.sncg)
         outer += 1
+        row = {
+            "outer": outer,
+            "sigma": sigma,
+            "newton_iters": sub.iterations,
+            "cg_iters": sub.stats.total_cg,
+            "j1_size": sub.stats.j1_sizes[-1] if sub.stats.j1_sizes else 0,
+            "alpha_size": sub.state.alpha_size,
+            "stop_reason": sub.stop_reason,
+            "accepted": True,
+        }
+        history.append(row)
         if not sub.converged:
             retries += 1
             if retries <= config.retry_limit:
+                row["accepted"] = False
+                row["time"] = time.perf_counter() - t0
                 sigma = min(sigma * config.sigma_growth, config.sigma_max)
                 flags.append(f"subproblem-retry@{outer}")
                 continue
@@ -264,32 +299,23 @@ def solve(
         Lam = sub.Lam_new
         res = kkt_residual(dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam))
         obj = primal_objective(dataset, hyper, W, b)
-        last_j1 = sub.stats.j1_sizes[-1] if sub.stats.j1_sizes else 0
-        last_alpha = sub.state.alpha_size
-        history.append(
-            {
-                "outer": outer,
-                "sigma": sigma,
-                "eta_kkt": res.eta,
-                "components": dict(res.components),
-                "raw": dict(res.raw),
-                "objective": obj,
-                "newton_iters": sub.iterations,
-                "cg_iters": sub.stats.total_cg,
-                "j1_size": last_j1,
-                "alpha_size": last_alpha,
-                "stop_reason": sub.stop_reason,
-                "time": time.perf_counter() - t0,
-            }
+        last_j1 = row["j1_size"]
+        last_alpha = row["alpha_size"]
+        row.update(
+            eta_kkt=res.eta,
+            components=dict(res.components),
+            raw=dict(res.raw),
+            objective=obj,
+            time=time.perf_counter() - t0,
         )
         measure = res.eta if config.stop_mode == "normalized" else res.raw_max
         if measure <= config.kkt_tol:
-            converged = True
+            converged = "subproblem-nonconvergence" not in flags
             break
         if config.reference_obj is not None and config.relobj_tol is not None:
             relobj = abs(obj - config.reference_obj) / (1.0 + abs(config.reference_obj))
             if relobj <= config.relobj_tol:
-                converged = True
+                converged = "subproblem-nonconvergence" not in flags
                 flags.append("stopped-on-relobj")
                 break
         if config.time_limit is not None and time.perf_counter() - t0 > config.time_limit:

@@ -9,12 +9,13 @@ train/test deterministically per seed.
 from __future__ import annotations
 
 import io
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import DataError, Dataset
+from .problem import DataError, Dataset, mapped_empty
 
 __all__ = [
     "SynthSpec",
@@ -95,7 +96,10 @@ def gen_synthetic(spec: SynthSpec) -> tuple[Dataset, Dataset, np.ndarray]:
     # block index of column l (1-based ceil(r*l/q), mapped to 0-based)
     cols = np.arange(1, q + 1)
     block = np.ceil(r * cols / q).astype(int) - 1
-    features = base[:, block][:, None, :] + spec.noise_delta * rng.standard_normal((n, p, q))
+    features = mapped_empty((n, p, q), prefault=True)
+    rng.standard_normal(out=features)
+    features *= spec.noise_delta
+    features += base[:, block][:, None, :]
 
     flat = features.reshape(n, -1)
     for attempt in range(10):
@@ -121,9 +125,8 @@ def gen_synthetic(spec: SynthSpec) -> tuple[Dataset, Dataset, np.ndarray]:
             break
     else:
         raise RuntimeError("could not split with both classes on each side")
-    train = Dataset(features[tr], labels[tr])
-    test = Dataset(features[te], labels[te])
-    return train, test, W
+    full = Dataset(features, labels)
+    return full.subset(tr), full.subset(te), W
 
 
 def predict(model: Model, X: np.ndarray) -> float:
@@ -166,7 +169,7 @@ def save_dataset(dataset: Dataset, path: str, fmt: str = "binary") -> None:
             fh.write(_MAGIC)
             fh.write(struct.pack("<QQQ", dataset.n_samples, dataset.p, dataset.q))
             fh.write(dataset.labels.astype("<f8").tobytes())
-            fh.write(np.ascontiguousarray(dataset.features, dtype="<f8").tobytes())
+            fh.write(memoryview(np.ascontiguousarray(dataset.features, dtype="<f8")).cast("B"))
     elif fmt == "csv":
         with open(path, "w") as fh:
             flat = dataset.flat_features
@@ -206,10 +209,13 @@ def _load_binary(fh) -> Dataset:
     labels = np.frombuffer(buf, dtype="<f8")
     offset += want
     want = 8 * n * p * q
-    buf = fh.read(want)
-    if len(buf) < want:
-        raise FormatError("truncated feature block", offset + len(buf))
-    features = np.frombuffer(buf, dtype="<f8").reshape(n, p, q)
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < want:  # before the block is mapped
+        raise FormatError("truncated feature block", offset + max(left, 0))
+    features = mapped_empty((n, p, q), dtype="<f8", prefault=True)
+    got = fh.readinto(memoryview(features).cast("B"))
+    if got < want:
+        raise FormatError("truncated feature block", offset + got)
     try:
         return Dataset(features, labels)
     except DataError as exc:

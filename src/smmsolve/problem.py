@@ -14,7 +14,10 @@ classification.
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +40,7 @@ __all__ = [
     "dual_objective",
     "kkt_residual",
     "classify_samples",
+    "mapped_empty",
 ]
 
 
@@ -57,6 +61,29 @@ class Hyperparams:
             raise ValueError(f"C must be positive and finite, got {self.C}")
         if not np.isfinite(self.tau) or self.tau < 0:
             raise ValueError(f"tau must be nonnegative and finite, got {self.tau}")
+
+
+def mapped_empty(shape, dtype=np.float64, prefault: bool = False) -> np.ndarray:
+    """Uninitialised array in its own anonymous memory mapping.
+
+    For the large blocks a long run allocates again and again (feature
+    blocks, the gathered rows of a Newton step).  Only pages written are
+    resident, and all go back to the OS when the last view is dropped.
+    Taken from the allocator's heap instead, blocks whose sizes change
+    from one instance or step to the next leave holes that later blocks
+    do not fit, and the resident size creeps up from solve to solve.
+    ``prefault`` maps all pages at once, cheaper than faulting them in one
+    by one when the whole block is written next.
+    """
+    count = math.prod(shape)
+    dtype = np.dtype(dtype)
+    size = max(dtype.itemsize * count, 1)
+    if hasattr(mmap, "MAP_PRIVATE"):
+        flags = mmap.MAP_PRIVATE | (getattr(mmap, "MAP_POPULATE", 0) if prefault else 0)
+        buf = mmap.mmap(-1, size, flags=flags)
+    else:  # Windows: anonymous mappings take no flags
+        buf = mmap.mmap(-1, size)
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
 class Dataset:
@@ -84,7 +111,11 @@ class Dataset:
             raise DataError(f"{labels.shape[0]} labels for {n} samples")
         if n == 0:
             raise DataError("empty dataset")
-        if not np.isfinite(features).all():
+        # one pass without a mask; the sum of finite entries can still
+        # overflow, so only a non-finite sum is checked entry by entry
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.sum(features)
+        if not np.isfinite(total) and not np.isfinite(features).all():
             raise DataError("features contain non-finite entries")
         bad = np.flatnonzero(np.abs(labels) != 1.0)
         if bad.size:
@@ -125,10 +156,22 @@ class Dataset:
         """(n, p*q) view of the feature buffer."""
         return self._flat
 
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        """Norms ``||(vec X_i, y_i)||`` of the rows of ``(W, b) -> A W + b y``.
+
+        Computed on first use (one pass over the features) and cached.
+        """
+        norms = np.sqrt(np.einsum("ij,ij->i", self._flat, self._flat) + 1.0)
+        norms.setflags(write=False)
+        return norms
+
     def subset(self, indices) -> "Dataset":
         """Dataset restricted to ``indices`` (gather, O(|I| p q))."""
         indices = _check_indices(indices, self.n_samples)
-        return Dataset(self._features[indices], self._labels[indices])
+        features = mapped_empty((indices.size, self.p, self.q), prefault=True)
+        np.take(self._features, indices, axis=0, out=features, mode="clip")
+        return Dataset(features, self._labels[indices])
 
     def __repr__(self):
         return f"Dataset(n={self.n_samples}, p={self.p}, q={self.q})"

@@ -15,6 +15,26 @@ Newton directions come from a reduced linear system whose operator touches
 only the samples with omega strictly inside (0, C) and, through the
 spectral Jacobian, only the singular values above the nuclear threshold,
 so one application costs O(max(|J1|, k1) p q) instead of O(n p q).
+
+Stopping.  ``solve_subproblem`` stops, in this order of checks, when
+
+- the caller's criterion fires (reason supplied by the caller), or the
+  gradient is exactly zero ("zero-gradient");
+- the gradient norm is at its roundoff floor ``ROUNDOFF_FACTOR * eps * S``
+  ("roundoff-floor"), where ``S`` (``SubproblemState.grad_scale``) is the
+  size of the terms summed into the gradient before they cancel.  No
+  float64 iterate can resolve a smaller gradient, so this counts as
+  converged: a caller's target below the floor is unreachable, and
+  retrying with a larger penalty only moves the floor;
+- the line search finds no Armijo step ("line-search-stall"), or the
+  Newton-step budget runs out ("max-newton-iterations").  These two are
+  failures.  The floor is tested before every Newton step, so a stall is
+  only ever reported above the floor.
+
+The line search itself accepts the full step when phi at it differs from
+the current value by no more than roundoff (``ROUNDOFF_FACTOR * eps *
+SubproblemState.phi_scale``): there Armijo's test compares noise and would
+otherwise backtrack to a vanishing step.
 """
 
 from __future__ import annotations
@@ -24,9 +44,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import prox
-from .problem import Dataset, Hyperparams, apply_A, apply_A_adjoint
+from .problem import Dataset, Hyperparams, apply_A, apply_A_adjoint, mapped_empty
 
 __all__ = [
+    "ROUNDOFF_FACTOR",
     "SncgConfig",
     "SubproblemContext",
     "SubproblemState",
@@ -40,6 +61,11 @@ __all__ = [
     "solve_subproblem",
     "cg",
 ]
+
+# A quantity summed from terms of total size S carries roundoff of a few
+# eps * S; differences below ROUNDOFF_FACTOR * eps * S are taken as noise.
+ROUNDOFF_FACTOR = 32.0
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -117,6 +143,13 @@ class SubproblemState:
     Lam_new: np.ndarray
     nuc: prox.NuclearProx | None
     alpha_size: int
+    grad_scale: float  # size of the gradient's terms before cancellation
+    phi_scale: float  # size of phi's terms before cancellation
+
+    @property
+    def at_roundoff_floor(self) -> bool:
+        """Whether the gradient is as small as float64 can resolve here."""
+        return self.grad_norm <= ROUNDOFF_FACTOR * _EPS * self.grad_scale
 
 
 def _phi_support_part(omega: np.ndarray, C: float) -> float:
@@ -126,7 +159,15 @@ def _phi_support_part(omega: np.ndarray, C: float) -> float:
 
 
 def compute_state(ctx: SubproblemContext, W: np.ndarray, b: float) -> SubproblemState:
-    """Evaluate phi, its gradient, and the recovered blocks at (W, b)."""
+    """Evaluate phi, its gradient, and the recovered blocks at (W, b).
+
+    Alongside the gradient it sizes the terms the gradient is summed from,
+    with row norms r_i = ||(vec X_i, y_i)||: the proximal terms, the
+    unsigned sum sum_i r_i pi_i behind A* pi and y' pi, the roundoff of
+    omega carried through the rows with 0 < omega_i < C, which is
+    sigma ||(W, b)|| sum_{J1} r_i^2, and the argument of the nuclear prox,
+    whose split ``Xk - Y`` cancels.
+    """
     ds, sigma = ctx.dataset, ctx.sigma
     C = ctx.hyper.C
     y = ds.labels
@@ -135,14 +176,25 @@ def compute_state(ctx: SubproblemContext, W: np.ndarray, b: float) -> Subproblem
 
     dW = W if ctx.w_target is None else W - ctx.w_target
     db = b - ctx.b_center
+    dW_sq = np.sum(dW * dW)
+    lam_sq = np.sum(ctx.lam_k * ctx.lam_k)
     phi = (
-        0.5 * ctx.w_weight * np.sum(dW * dW)
+        0.5 * ctx.w_weight * dW_sq
         + 0.5 * ctx.b_weight * db * db
         + _phi_support_part(omega, C) / sigma
-        - 0.5 * np.sum(ctx.lam_k * ctx.lam_k) / sigma
+        - 0.5 * lam_sq / sigma
     )
     grad_W = ctx.w_weight * dW - apply_A_adjoint(ds, pi_omega)
     grad_b = ctx.b_weight * db - float(y @ pi_omega)
+    rows = ds.row_norms
+    rows_j1 = rows[(omega > 0.0) & (omega < C)]
+    grad_scale = (
+        ctx.w_weight * np.sqrt(dW_sq)
+        + abs(ctx.b_weight * db)
+        + rows @ pi_omega
+        + sigma * np.sqrt(np.sum(W * W) + b * b) * (rows_j1 @ rows_j1)
+    )
+    phi_scale = 0.5 * ctx.w_weight * dW_sq + 0.5 * lam_sq / sigma
 
     nuc = None
     alpha_size = 0
@@ -150,9 +202,12 @@ def compute_state(ctx: SubproblemContext, W: np.ndarray, b: float) -> Subproblem
         Xk = ctx.Lam_k + sigma * W
         nuc = prox.prox_nuclear(Xk, ctx.hyper.tau)
         proj = Xk - nuc.Y  # exact Moreau split of Xk
+        Lam_sq = np.sum(ctx.Lam_k * ctx.Lam_k)
         phi += prox.env_nuclear(Xk, ctx.hyper.tau, svd=nuc.svd) / sigma
-        phi -= 0.5 * np.sum(ctx.Lam_k * ctx.Lam_k) / sigma
+        phi -= 0.5 * Lam_sq / sigma
         grad_W = grad_W + proj
+        grad_scale += np.linalg.norm(Xk)
+        phi_scale += 0.5 * Lam_sq / sigma
         U = nuc.Y / sigma
         Lam_new = proj
         alpha_size = nuc.k_bar
@@ -178,6 +233,8 @@ def compute_state(ctx: SubproblemContext, W: np.ndarray, b: float) -> Subproblem
         Lam_new=Lam_new,
         nuc=nuc,
         alpha_size=alpha_size,
+        grad_scale=float(grad_scale),
+        phi_scale=float(abs(phi) + phi_scale),
     )
 
 
@@ -198,9 +255,19 @@ class NewtonWorkspace:
     Holds the active index set J1 = {j : 0 < omega_j < C}, the gathered
     signed sample rows, the spectral Jacobian, and the damping rho.  One
     application of the operator never touches samples outside J1.
+
+    The signed rows, at up to n p q floats the largest block of a Newton
+    step, are gathered into the first |J1| rows of ``row_buffer`` when one
+    is given (shape ``(n, p*q)``, overwritten).
     """
 
-    def __init__(self, ctx: SubproblemContext, state: SubproblemState, config: SncgConfig):
+    def __init__(
+        self,
+        ctx: SubproblemContext,
+        state: SubproblemState,
+        config: SncgConfig,
+        row_buffer: np.ndarray | None = None,
+    ):
         ds = ctx.dataset
         self.sigma = ctx.sigma
         self.a_w = ctx.w_weight
@@ -209,7 +276,10 @@ class NewtonWorkspace:
         omega = state.omega
         self.j1 = np.flatnonzero((omega > 0.0) & (omega < ctx.hyper.C))
         self.yj = ds.labels[self.j1]
-        self.aj = ds.flat_features[self.j1] * self.yj[:, None]
+        out = None if row_buffer is None else row_buffer[: self.j1.size]
+        # mode="clip" gathers straight into out; J1 holds valid indices only
+        self.aj = np.take(ds.flat_features, self.j1, axis=0, out=out, mode="clip")
+        self.aj *= self.yj[:, None]
         self.rho = config.tau1 * min(config.tau2, state.grad_norm)
         self.denom = self.a_b + self.sigma * self.j1.size + self.rho
         self.ajy = self.aj.T @ self.yj  # vec of A*_J1 y_J1
@@ -363,7 +433,9 @@ def line_search(
     """Armijo backtracking along (d_W, d_b).
 
     Falls back to steepest descent when the direction fails a strict
-    descent test (possible in finite precision).  Returns
+    descent test (possible in finite precision).  A full step whose change
+    in phi is within roundoff of ``state.phi_scale`` is accepted: Armijo
+    cannot tell such a step from a flat one.  Returns
     (alpha, evaluations, direction actually used, stalled flag).
     """
     if state is None:
@@ -375,12 +447,15 @@ def line_search(
         d_b = -state.grad_b
         g_dot_d = -state.grad_norm**2
     Ad = apply_A(ctx.dataset, d_W)
+    flat = ROUNDOFF_FACTOR * _EPS * state.phi_scale
     alpha = 1.0
     evals = 0
     while evals < config.ls_max_backtracks:
         trial = _phi_along(ctx, state, d_W, d_b, Ad, alpha)
         evals += 1
         if trial <= state.phi + config.mu * alpha * g_dot_d:
+            return alpha, evals, d_W, d_b, False
+        if evals == 1 and abs(trial - state.phi) <= flat:
             return alpha, evals, d_W, d_b, False
         alpha *= config.delta_ls
     # no Armijo step within the backtracking budget: numerically flat
@@ -427,8 +502,12 @@ def solve_subproblem(
 
     ``stop(state, iteration)`` returns (fired, reason); it is checked at
     the initial point too, so a warm start at the minimizer exits with
-    zero iterations.  The slack blocks and the tentative multipliers are
-    recovered from the final state's proximal splits.
+    zero iterations.  The result is converged when the criterion fires,
+    the gradient is zero, or the gradient reaches its roundoff floor
+    (``stop_reason == "roundoff-floor"``); it is not converged on a
+    line-search stall above the floor or when ``max_newton_iter`` runs
+    out (see the module docstring).  The slack blocks and the tentative
+    multipliers are recovered from the final state's proximal splits.
     """
     if config is None:
         config = SncgConfig()
@@ -439,6 +518,10 @@ def solve_subproblem(
     converged = False
     reason = "max-newton-iterations"
     iterations = 0
+    # The Newton steps share one block for their J1 rows.  In its own
+    # mapping only rows written are resident, and a |J1| that changes from
+    # step to step stays off the allocator's heap (see mapped_empty).
+    row_buffer = None
     for i in range(config.max_newton_iter + 1):
         stats.grad_norms.append(state.grad_norm)
         stats.phi_values.append(state.phi)
@@ -448,9 +531,15 @@ def solve_subproblem(
             converged = True
             reason = why if fired else "zero-gradient"
             break
+        if state.at_roundoff_floor:
+            converged = True
+            reason = "roundoff-floor"
+            break
         if i == config.max_newton_iter:
             break
-        ws = NewtonWorkspace(ctx, state, config)
+        if row_buffer is None:
+            row_buffer = mapped_empty(ctx.dataset.flat_features.shape)
+        ws = NewtonWorkspace(ctx, state, config, row_buffer)
         stats.j1_sizes.append(ws.j1.size)
         tol_cg = min(config.eta_bar, state.grad_norm ** (1.0 + config.varrho))
         d_W, d_b, cg_it, _ = newton_direction(

@@ -11,7 +11,7 @@ from smmsolve.problem import Hyperparams, apply_A
 def instance():
     train, test, _ = sdata.gen_synthetic(sdata.SynthSpec(n=400, p=6, q=8, r=3, seed=9))
     hyper = Hyperparams(C=1.0, tau=1.0)
-    ref = alm.solve(train, hyper, alm.AlmConfig(kkt_tol=1e-9))
+    ref = alm.solve(train, hyper, alm.AlmConfig(kkt_tol=1e-11))
     return train, hyper, ref
 
 

@@ -174,3 +174,41 @@ class TestToyMarginBehavior:
             sm_counts.append(sol.report.sm_count)
         # margin shrinks as the hinge weight grows
         assert all(b <= a for a, b in zip(sm_counts, sm_counts[1:]))
+
+
+class TestRoundoffAwareTail:
+    @pytest.mark.parametrize("tau", [1.0, 10.0])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_feature_scale_needs_no_retry(self, small_synth, scale, tau):
+        train, _, _ = small_synth
+        ds = Dataset(train.features * scale, train.labels)
+        sol = alm.solve(ds, Hyperparams(C=1.0, tau=tau), alm.AlmConfig(kkt_tol=1e-8))
+        rep = sol.report
+        assert rep.converged and rep.eta_kkt <= 1e-8
+        assert not [f for f in rep.flags if f.startswith("subproblem")]
+        assert all(row["accepted"] for row in rep.history)
+
+
+class TestAttemptHistory:
+    def test_every_attempt_has_a_row(self, small_synth):
+        # a two-step Newton budget makes subproblems fail and get retried
+        train, _, _ = small_synth
+        cfg = alm.AlmConfig(kkt_tol=1e-3, retry_limit=1, sncg=sncg.SncgConfig(max_newton_iter=2))
+        rep = alm.solve(train, Hyperparams(C=1.0, tau=1.0), cfg).report
+        assert len(rep.history) == rep.n_outer
+        assert [row["outer"] for row in rep.history] == list(range(1, rep.n_outer + 1))
+        retried = [row["outer"] for row in rep.history if not row["accepted"]]
+        assert retried
+        assert retried == [int(f.split("@")[1]) for f in rep.flags if f.startswith("subproblem-retry@")]
+        for row in rep.history:
+            assert row["stop_reason"] and row["cg_iters"] >= 0
+            assert ("eta_kkt" in row) == row["accepted"]
+
+    def test_accepted_failure_is_never_converged(self, small_synth):
+        train, _, _ = small_synth
+        cfg = alm.AlmConfig(kkt_tol=1e-3, retry_limit=0, sncg=sncg.SncgConfig(max_newton_iter=2))
+        rep = alm.solve(train, Hyperparams(C=1.0, tau=1.0), cfg).report
+        assert "subproblem-nonconvergence" in rep.flags
+        # the KKT target is met, but a failed subproblem was taken on the way
+        assert rep.eta_kkt <= 1e-3 and rep.n_outer < cfg.max_outer_iter
+        assert not rep.converged

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from smmsolve import cli
+from smmsolve import alm, cli, sncg
 from smmsolve import data as sdata
 from smmsolve.problem import DualPoint, Hyperparams, PrimalPoint, kkt_residual
 
@@ -106,6 +106,25 @@ class TestTrain:
         rc = cli.main(["train", "--data", str(tmp_path / "nope.bin"),
                        "--C", "1", "--tau", "1"])
         assert rc == cli.EXIT_IO
+
+    def test_failed_subproblem_exits_nonconverged(self, ws, monkeypatch):
+        # a two-step Newton budget with no retries forces an accepted
+        # subproblem failure; the solve may meet --tol but is not converged
+        root, train, _ = ws
+        plain = alm.AlmConfig
+        monkeypatch.setattr(
+            alm,
+            "AlmConfig",
+            lambda **kw: plain(retry_limit=0, sncg=sncg.SncgConfig(max_newton_iter=2), **kw),
+        )
+        report = str(root / "failed_sub.json")
+        rc = cli.main(["train", "--data", train, "--C", "1", "--tau", "1",
+                       "--tol", "1e-3", "--report", report])
+        assert rc == cli.EXIT_NONCONVERGED
+        rep = json.load(open(report))
+        assert rep["converged"] is False
+        assert "subproblem-nonconvergence" in rep["flags"]
+        assert len(rep["trace"]) == rep["iterations"]
 
     def test_nonconvergence_exit_code_with_report(self, ws):
         root, train, _ = ws

@@ -38,10 +38,25 @@ class TestDatasetValidation:
             Dataset(X, [1.0, 1.0, 1.0])
 
     def test_rejects_nonfinite(self):
-        X = np.zeros((2, 2, 2))
-        X[1, 0, 0] = np.nan
-        with pytest.raises(DataError, match="non-finite"):
-            Dataset(X, [1.0, -1.0])
+        for scale in (0.0, 1e308):  # 1e308: the finite entries' sum overflows
+            for bad in (np.nan, np.inf, -np.inf):
+                X = np.full((2, 2, 2), scale)
+                X[1, 0, 0] = bad
+                with pytest.raises(DataError, match="non-finite"):
+                    Dataset(X, [1.0, -1.0])
+
+    def test_accepts_finite_entries_whose_sum_overflows(self):
+        X = np.full((2, 2, 2), 1e308)
+        X[0, 0, 0] = -1e308
+        assert Dataset(X, [1.0, -1.0]).n_samples == 2
+
+    def test_subset_copies_selected_rows(self, rng):
+        ds = random_dataset(rng, 12, 3, 4)
+        idx = [7, 1, 1, 11, 0]  # rows 0 and 1 hold both classes
+        sub = ds.subset(idx)
+        assert np.array_equal(sub.features, ds.features[idx])
+        assert np.array_equal(sub.labels, ds.labels[idx])
+        assert sub.features.flags["C_CONTIGUOUS"] and not sub.features.flags.writeable
 
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(DataError):
@@ -54,6 +69,16 @@ class TestDatasetValidation:
     def test_tall_matrices_allowed(self):
         ds = Dataset(np.ones((2, 5, 2)), [1.0, -1.0])
         assert ds.p == 5 and ds.q == 2
+
+
+class TestRowNorms:
+    def test_norms_of_operator_rows(self):
+        rng = np.random.default_rng(3)
+        ds = random_dataset(rng, 12, 3, 4)
+        expected = np.sqrt(np.sum(ds.features**2, axis=(1, 2)) + 1.0)
+        np.testing.assert_allclose(ds.row_norms, expected, rtol=1e-15)
+        assert ds.row_norms is ds.row_norms  # cached
+        assert not ds.row_norms.flags.writeable
 
 
 class TestApplyA:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smmsolve import prox, sncg
-from smmsolve.problem import Hyperparams, apply_A, apply_A_adjoint
+from smmsolve.problem import Dataset, Hyperparams, apply_A, apply_A_adjoint
 
 from conftest import random_dataset
 
@@ -204,6 +204,18 @@ class TestNewtonDirection:
             d1, d2 = rng.standard_normal(16), rng.standard_normal(16)
             assert ws.apply(d1) @ d2 == pytest.approx(ws.apply(d2) @ d1, rel=1e-9, abs=1e-12)
 
+    def test_row_buffer_gives_the_same_operator(self, rng):
+        ctx = make_context(rng, n=25, p=4, q=4)
+        state = sncg.compute_state(ctx, rng.standard_normal((4, 4)), 0.1)
+        plain = sncg.NewtonWorkspace(ctx, state, sncg.SncgConfig())
+        buf = np.full(ctx.dataset.flat_features.shape, np.nan)
+        shared = sncg.NewtonWorkspace(ctx, state, sncg.SncgConfig(), buf)
+        assert 0 < plain.j1.size < 25
+        assert np.array_equal(shared.aj, plain.aj)
+        assert np.shares_memory(shared.aj, buf)
+        d = rng.standard_normal(16)
+        assert np.array_equal(shared.apply(d), plain.apply(d))
+
     def test_empty_j1_degenerates_gracefully(self, rng):
         # multipliers pushing every omega outside [0, C]: the b-block keeps
         # only the damping, mirroring the nondegeneracy characterization
@@ -369,3 +381,76 @@ class TestQuadraticVariant:
         # stationarity: a_w (W - T) + A* lam_new = grad at the solution
         resid = 2.5 * (res.W - target) + apply_A_adjoint(ds, res.lam_new)
         assert np.linalg.norm(resid) <= 1e-9
+
+
+def never_stop(_state, _i):
+    return False, "never"
+
+
+def floor_of(state):
+    return sncg.ROUNDOFF_FACTOR * np.finfo(np.float64).eps * state.grad_scale
+
+
+class TestRoundoffStops:
+    """Stops that keep the subproblem finite in float64 (own generators, so
+    the shared rng stream of the other tests is left alone)."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_unreachable_target_stops_at_roundoff_floor(self, scale):
+        rng = np.random.default_rng(5)
+        ctx = make_context(rng, n=30, p=3, q=4)
+        ctx.dataset = Dataset(ctx.dataset.features * scale, ctx.dataset.labels)
+        res = sncg.solve_subproblem(ctx, np.zeros((3, 4)), 0.0, never_stop)
+        assert res.converged and res.stop_reason == "roundoff-floor"
+        assert res.iterations < sncg.SncgConfig().max_newton_iter
+        assert res.state.grad_norm <= floor_of(res.state)
+
+    def test_stall_at_the_floor_is_not_a_failure(self):
+        rng = np.random.default_rng(6)
+        ctx = make_context(rng, n=30, p=3, q=4)
+        at_floor = sncg.solve_subproblem(ctx, np.zeros((3, 4)), 0.0, never_stop)
+        # a single-trial line search stalls on any step Armijo rejects
+        cfg = sncg.SncgConfig(ls_max_backtracks=1)
+        again = sncg.solve_subproblem(ctx, at_floor.W, at_floor.b, never_stop, cfg)
+        assert again.converged and again.stop_reason == "roundoff-floor"
+        assert again.iterations == 0
+
+    def test_stall_far_above_the_floor_is_a_failure(self):
+        rng = np.random.default_rng(7)
+        ctx = make_context(rng, n=30, p=3, q=4)
+        cfg = sncg.SncgConfig(ls_max_backtracks=1)
+        W0 = 100.0 * rng.standard_normal((3, 4))
+        res = sncg.solve_subproblem(ctx, W0, 0.0, never_stop, cfg)
+        assert not res.converged and res.stop_reason == "line-search-stall"
+        assert res.state.grad_norm > 1e6 * floor_of(res.state)
+
+    def test_flat_phi_takes_the_full_step(self):
+        rng = np.random.default_rng(8)
+        ctx = make_context(rng, n=20, p=3, q=4)
+        W = rng.standard_normal((3, 4))
+        state = sncg.compute_state(ctx, W, 0.0)
+        g = np.append(state.grad_W.ravel(), state.grad_b)
+        u = rng.standard_normal(g.size)
+        u -= (u @ g) / (g @ g) * g
+        u /= np.linalg.norm(u)
+        # a unit direction along which phi only curves up; its descent
+        # component is far below roundoff but passes the descent test
+        d = u - 1e-9 * g / np.linalg.norm(g)
+        flat = sncg.ROUNDOFF_FACTOR * np.finfo(np.float64).eps * state.phi_scale
+        cfg = sncg.SncgConfig()
+        chosen = None
+        for t in np.logspace(-4, -12, 81):
+            step = t * d
+            change = sncg.eval_phi(ctx, W + step[:-1].reshape(3, 4), step[-1]) - state.phi
+            if 0.25 * flat < change <= 0.5 * flat:
+                chosen = step
+                break
+        assert chosen is not None
+        d_W, d_b = chosen[:-1].reshape(3, 4), float(chosen[-1])
+        alpha, evals, _, _, stalled = sncg.line_search(ctx, W, 0.0, d_W, d_b, cfg, state=state)
+        assert (alpha, evals, stalled) == (1.0, 1, False)
+        # a step that changes phi by far more than roundoff still backtracks
+        alpha, _, _, _, stalled = sncg.line_search(
+            ctx, W, 0.0, 1e3 * d_W, 1e3 * d_b, cfg, state=state
+        )
+        assert alpha < 1.0 and not stalled
