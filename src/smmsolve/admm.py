@@ -78,6 +78,8 @@ class _InnerResult:
     err_sq: float  # (1/gamma)||r1||^2 + (1/delta)|r2|^2 at the returned point
     feas: float  # ||A W + b y + v - e||
     converged: bool
+    j1_size: int  # |J1| of the last Newton state
+    split: sncg.AdjointSplit  # A* pi of the last Newton state, split
 
 
 def _solve_quad_hinge(
@@ -90,12 +92,17 @@ def _solve_quad_hinge(
     err_cap: float,
     warm: tuple,
     config: AdmmConfig,
+    AW: np.ndarray | None = None,
+    base: sncg.AdjointSplit | None = None,
 ) -> _InnerResult:
     """Inner augmented Lagrangian for the proximal (W, b) subproblem.
 
     The final Newton gradient *is* the stationarity residual of the
     subproblem at the updated multiplier, so the declared error is read
     off directly; the feasibility gap is driven below a matching cap.
+    ``AW`` and ``base``, if given, are A W of the warm start and the split
+    the first subproblem starts its updates of A* pi from; later ones
+    carry both on from the subproblem before.
     """
     W, b, lam, sigma = warm
     n = dataset.n_samples
@@ -107,6 +114,8 @@ def _solve_quad_hinge(
     err_sq = np.inf
     feas = np.inf
     v = np.zeros(n)
+    j1_size = 0
+    converged = False
     for _ in range(config.inner_max_outer):
         ctx = sncg.SubproblemContext(
             dataset=dataset,
@@ -122,7 +131,8 @@ def _solve_quad_hinge(
         def stop(state, _i, _tol=grad_tol):
             return state.grad_norm <= _tol, "gradient"
 
-        sub = sncg.solve_subproblem(ctx, W, b, stop, config.inner)
+        sub = sncg.solve_subproblem(ctx, W, b, stop, config.inner, AW0=AW, base=base)
+        AW, base, j1_size = sub.state.AW, sub.state.split, sub.state.j1.size
         W, b, v = sub.W, sub.b, sub.v
         lam_new = sub.lam_new
         # grad at (W, b) with the box projection equals the subproblem
@@ -134,9 +144,10 @@ def _solve_quad_hinge(
         feas = float(np.linalg.norm(lam_new - lam) / sigma)
         lam = lam_new
         if err_sq <= err_cap and feas <= feas_cap:
-            return _InnerResult(W, b, v, lam, sigma, float(err_sq), feas, True)
+            converged = True
+            break
         sigma = min(sigma * 5.0, 1e8)
-    return _InnerResult(W, b, v, lam, sigma, float(err_sq), feas, False)
+    return _InnerResult(W, b, v, lam, sigma, float(err_sq), feas, converged, j1_size, base)
 
 
 def solve_ispadmm(
@@ -172,7 +183,14 @@ def solve_ispadmm(
     cap_sum = 0.0
     converged = False
     res = None
-    obj = primal_objective(dataset, hyper, W, b)
+    # One fresh A W and one fresh A* lam per iteration, shared as in
+    # alm.solve: by the KKT residual, the objective and the next inner
+    # solve's first state.
+    AW = np.zeros(n) if init is None else apply_A(dataset, W)
+    At_lam = base = None
+    obj = primal_objective(dataset, hyper, W, b, AW)
+    j1_size = 0
+    k_bar = 0
     limit = config.max_iter if max_iter is None else max_iter
     it = 0
     for it in range(1, limit + 1):
@@ -188,17 +206,26 @@ def solve_ispadmm(
             err_cap=cap,
             warm=(W, b, lam, inner_sigma),
             config=config,
+            AW=AW,
+            base=base,
         )
         if not inner.converged:
             flags.append(f"inner-nonconvergence@{it}")
         W, b, v, lam, inner_sigma = inner.W, inner.b, inner.v, inner.lam, inner.sigma
         err_sum += inner.err_sq
         cap_sum += cap
-        U = prox.prox_nuclear(gamma * W + Lam, hyper.tau).Y / gamma
+        j1_size = inner.j1_size
+        nuc = prox.prox_nuclear(gamma * W + Lam, hyper.tau)
+        U, k_bar = nuc.Y / gamma, nuc.k_bar
         Lam = Lam + zeta * gamma * (W - U)
 
-        res = kkt_residual(dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam))
-        obj = primal_objective(dataset, hyper, W, b)
+        AW = apply_A(dataset, W)
+        At_lam = apply_A_adjoint(dataset, lam)
+        base = sncg.rebase(inner.split, -At_lam, hyper.C)
+        res = kkt_residual(
+            dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam), AW, At_lam
+        )
+        obj = primal_objective(dataset, hyper, W, b, AW)
         if config.track_history:
             history.append(
                 {
@@ -222,11 +249,11 @@ def solve_ispadmm(
             break
 
     if res is None:
-        res = kkt_residual(dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam))
+        res = kkt_residual(dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam), AW)
     return _package(
         "ispadmm", dataset, hyper, W, b, v, U, lam, Lam, res, obj, it, converged,
-        history, flags, config, t0, reference_obj,
-        extra={"inner_err_sum": err_sum, "inner_cap_sum": cap_sum},
+        history, flags, config, t0, reference_obj, j1_size, k_bar,
+        extra={"inner_err_sum": err_sum, "inner_cap_sum": cap_sum}, At_lam=At_lam,
     )
 
 
@@ -260,8 +287,9 @@ def solve_sgs_ispadmm(
     flags = []
     converged = False
     res = None
-    obj = primal_objective(dataset, hyper, W, b=0.0)
+    obj = primal_objective(dataset, hyper, W, 0.0, Aw)
     b = 0.0
+    k_bar = 0
     it = 0
     w_resid = 0.0
     for it in range(1, config.max_iter + 1):
@@ -280,14 +308,16 @@ def solve_sgs_ispadmm(
         Aw = signed @ w_vec
         b = -float(y @ (Aw + v - 1.0 + lam / gamma)) / n
         v = prox.prox_support_fn(-lam - gamma * (Aw + b * y - 1.0), hyper.C) / gamma
-        U = prox.prox_nuclear(Lam + gamma * W, hyper.tau).Y / gamma
+        nuc = prox.prox_nuclear(Lam + gamma * W, hyper.tau)
+        U, k_bar = nuc.Y / gamma, nuc.k_bar
         r_lam = Aw + b * y + v - 1.0
         r_Lam = W - U
         lam = lam + zeta * gamma * r_lam
         Lam = Lam + zeta * gamma * r_Lam
 
-        res = kkt_residual(dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam))
-        obj = primal_objective(dataset, hyper, W, b)
+        # signed @ w_vec is apply_A(dataset, W) to the bit: y_i = +-1
+        res = kkt_residual(dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam), Aw)
+        obj = primal_objective(dataset, hyper, W, b, Aw)
         if config.track_history:
             history.append(
                 {
@@ -315,7 +345,7 @@ def solve_sgs_ispadmm(
 
     return _package(
         "sgs-ispadmm", dataset, hyper, W, b, v, U, lam, Lam, res, obj, it, converged,
-        history, flags, config, t0, reference_obj, extra={},
+        history, flags, config, t0, reference_obj, 0, k_bar, extra={},
     )
 
 
@@ -338,9 +368,9 @@ def warm_start(
 
 def _package(
     name, dataset, hyper, W, b, v, U, lam, Lam, res, obj, iters, converged,
-    history, flags, config, t0, reference_obj, extra,
+    history, flags, config, t0, reference_obj, j1_size, alpha_size, extra, At_lam=None,
 ) -> Solution:
-    dual_val = dual_objective(dataset, hyper, lam, Lam)
+    dual_val = dual_objective(dataset, hyper, lam, Lam, At_lam=At_lam)
     cls = classify_samples(lam, hyper.C)
     relobj = None
     if reference_obj is not None:
@@ -359,8 +389,8 @@ def _package(
         dual_obj=dual_val.value,
         sm_count=cls.sm_count,
         asm_count=cls.asm_count,
-        j1_size=0,
-        alpha_size=int(np.count_nonzero(np.linalg.svd(W, compute_uv=False) > 1e-8)),
+        j1_size=j1_size,
+        alpha_size=alpha_size,
         wall_time=time.perf_counter() - t0,
         history=history,
         config=echo,

@@ -23,6 +23,8 @@ from .problem import (
     DualPoint,
     Hyperparams,
     PrimalPoint,
+    apply_A,
+    apply_A_adjoint,
     classify_samples,
     dual_objective,
     kkt_residual,
@@ -99,6 +101,16 @@ class StartPoint:
 
 @dataclass
 class SolveReport:
+    """Outcome of one solve, shared by the ALM and ADMM solvers.
+
+    ``alpha_size`` is the number of singular values above ``tau`` in the
+    solver's last nuclear prox (``k_bar``), and ``j1_size`` is |J1|, the
+    samples with ``0 < omega < C``: at the last Newton step for ALM, at
+    the last inner Newton state for ISPADMM.  sGS-ISPADMM
+    reports ``j1_size = 0``: it updates W by CG on the full data and
+    never forms a Newton state.
+    """
+
     solver: str
     converged: bool
     n_outer: int
@@ -255,6 +267,12 @@ def solve(
     last_j1 = 0
     last_alpha = 0
     outer = 0
+    # One fresh A W and one fresh A* lam per accepted iterate.  A W is
+    # shared by the KKT residual, the objective and the next subproblem's
+    # first state; A* lam = -A* pi by the KKT residual and, through
+    # sncg.rebase, by the next subproblem's updates of A* pi.
+    AW = np.zeros(n) if init is None else apply_A(dataset, W)
+    base = None
 
     while outer < config.max_outer_iter:
         eps_k = config.eps0 * config.eps_ratio**outer
@@ -267,7 +285,7 @@ def solve(
             Lam_k=Lam if hyper.tau > 0 else None,
         )
         stop = _criterion_closure(config, ctx, lam, Lam, eps_k, eta_k)
-        sub = sncg.solve_subproblem(ctx, W, b, stop, config.sncg)
+        sub = sncg.solve_subproblem(ctx, W, b, stop, config.sncg, AW0=AW, base=base)
         outer += 1
         row = {
             "outer": outer,
@@ -297,8 +315,13 @@ def solve(
         # the subproblem, so the multipliers are taken from there directly.
         lam = sub.lam_new
         Lam = sub.Lam_new
-        res = kkt_residual(dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam))
-        obj = primal_objective(dataset, hyper, W, b)
+        AW = apply_A(dataset, W)
+        At_lam = apply_A_adjoint(dataset, lam)
+        base = sncg.rebase(sub.state.split, -At_lam, hyper.C)
+        res = kkt_residual(
+            dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam), AW, At_lam
+        )
+        obj = primal_objective(dataset, hyper, W, b, AW)
         last_j1 = row["j1_size"]
         last_alpha = row["alpha_size"]
         row.update(
@@ -326,9 +349,12 @@ def solve(
         feas_prev = feas_new
 
     if res is None:  # every attempt failed before producing an iterate
-        res = kkt_residual(dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam))
-    obj = primal_objective(dataset, hyper, W, b)
-    dual_val = dual_objective(dataset, hyper, lam, Lam)
+        At_lam = apply_A_adjoint(dataset, lam)
+        res = kkt_residual(
+            dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam), AW, At_lam
+        )
+        obj = primal_objective(dataset, hyper, W, b, AW)
+    dual_val = dual_objective(dataset, hyper, lam, Lam, At_lam=At_lam)
     cls = classify_samples(lam, hyper.C)
     relobj = None
     if config.reference_obj is not None:

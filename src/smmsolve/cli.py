@@ -328,7 +328,11 @@ def cmd_predict(args) -> int:
     except (OSError, DataError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    acc = data.accuracy(model, ds)
+    try:
+        acc = data.accuracy(model, ds)
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_IO
     counts = data.confusion_counts(model, ds)
     print(
         f"accuracy={acc:.6f} tp={counts['tp']} tn={counts['tn']} "

@@ -136,6 +136,11 @@ def predict(model: Model, X: np.ndarray) -> float:
 
 
 def _scores(model: Model, dataset: Dataset) -> np.ndarray:
+    if model.W.shape != (dataset.p, dataset.q):
+        raise DataError(
+            f"model W has shape {model.W.shape}, data samples have shape "
+            f"{(dataset.p, dataset.q)}"
+        )
     return dataset.flat_features @ model.W.ravel() + model.b
 
 

@@ -253,15 +253,22 @@ def apply_A_adjoint_restricted(dataset: Dataset, indices, z_sub: np.ndarray) -> 
     )
 
 
-def hinge_values(dataset: Dataset, W: np.ndarray, b: float) -> np.ndarray:
-    """Slack vector ``v = e - A W - b y`` whose positive part is the hinge."""
-    return 1.0 - apply_A(dataset, W) - b * dataset.labels
+def primal_objective(
+    dataset: Dataset,
+    hyper: Hyperparams,
+    W: np.ndarray,
+    b: float,
+    AW: np.ndarray | None = None,
+) -> float:
+    """0.5||W||_F^2 + tau ||W||_* + C sum_i max(1 - y_i(<X_i,W>+b), 0).
 
-
-def primal_objective(dataset: Dataset, hyper: Hyperparams, W: np.ndarray, b: float) -> float:
-    """0.5||W||_F^2 + tau ||W||_* + C sum_i max(1 - y_i(<X_i,W>+b), 0)."""
+    ``AW``, if given, is ``apply_A(dataset, W)``; the value is then the
+    same to the bit, without the pass over the data.
+    """
     W = np.asarray(W, dtype=np.float64)
-    v = hinge_values(dataset, W, b)
+    if AW is None:
+        AW = apply_A(dataset, W)
+    v = 1.0 - AW - b * dataset.labels  # slacks; their positive part is the hinge
     val = 0.5 * np.sum(W * W) + hyper.C * np.sum(np.maximum(v, 0.0))
     if hyper.tau > 0:
         val += hyper.tau * np.linalg.svd(W, compute_uv=False).sum()
@@ -283,15 +290,19 @@ def dual_objective(
     lam: np.ndarray,
     Lam: np.ndarray,
     tol: float = 1e-8,
+    At_lam: np.ndarray | None = None,
 ) -> DualValue:
     """Value ``-(0.5 ||A* lam + Lam||_F^2 + <lam, e>)`` of the dual problem.
 
     Feasibility of ``(-lam, Lam)`` in ``[0, C]^n x {||.||_2 <= tau}`` and of
     the linear constraint ``y' lam = 0`` is reported, not enforced.
+    ``At_lam``, if given, is ``apply_A_adjoint(dataset, lam)``.
     """
     lam = np.asarray(lam, dtype=np.float64).ravel()
     Lam = np.asarray(Lam, dtype=np.float64)
-    G = apply_A_adjoint(dataset, lam) + Lam
+    if At_lam is None:
+        At_lam = apply_A_adjoint(dataset, lam)
+    G = At_lam + Lam
     value = -(0.5 * np.sum(G * G) + lam.sum())
     violations = []
     m = -lam
@@ -323,13 +334,21 @@ class KktResidual:
 
 
 def kkt_residual(
-    dataset: Dataset, hyper: Hyperparams, primal: PrimalPoint, dual: DualPoint
+    dataset: Dataset,
+    hyper: Hyperparams,
+    primal: PrimalPoint,
+    dual: DualPoint,
+    AW: np.ndarray | None = None,
+    At_lam: np.ndarray | None = None,
 ) -> KktResidual:
     """Six-component relative KKT residual of the primal/dual pair.
 
     Components: stationarity in W, the linear constraint y'lam = 0, the
     v-block and U-block subdifferential inclusions (as projection
-    residuals), and the two primal feasibility gaps.
+    residuals), and the two primal feasibility gaps.  ``AW`` and
+    ``At_lam``, if given, are ``apply_A(dataset, primal.W)`` and
+    ``apply_A_adjoint(dataset, dual.lam)``; the residual is then the same
+    to the bit, without those passes.
     """
     W, b, v, U = primal.W, primal.b, primal.v, primal.U
     lam, Lam = dual.lam, dual.Lam
@@ -337,12 +356,15 @@ def kkt_residual(
     n = dataset.n_samples
     sqrt_n = np.sqrt(n)
 
-    At_lam = apply_A_adjoint(dataset, lam)
+    if At_lam is None:
+        At_lam = apply_A_adjoint(dataset, lam)
     r_W = np.linalg.norm(W + At_lam + Lam)
     r_b = abs(lam @ y)
     r_v = np.linalg.norm(lam + project_box(v - lam, hyper.C))
     r_U = np.linalg.norm(Lam - project_spectral_ball(U + Lam, hyper.tau))
-    r_lam = np.linalg.norm(apply_A(dataset, W) + b * y + v - 1.0)
+    if AW is None:
+        AW = apply_A(dataset, W)
+    r_lam = np.linalg.norm(AW + b * y + v - 1.0)
     r_Lam = np.linalg.norm(W - U)
 
     nW = np.linalg.norm(W)

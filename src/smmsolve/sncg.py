@@ -16,6 +16,17 @@ only the samples with omega strictly inside (0, C) and, through the
 spectral Jacobian, only the singular values above the nuclear threshold,
 so one application costs O(max(|J1|, k1) p q) instead of O(n p q).
 
+Cost of a Newton step.  One full pass over the data, the A d of the line
+search, plus O((|J1| + |dJ2|) p q).  A W is carried as A W + alpha A d;
+A* pi = A*_J1 pi_J1 + C g with g = sum_{omega_i >= C} y_i X_i, and g is
+updated over the dJ2 rows that crossed omega = C since the state before
+(a full pass instead when they exceed ``INCREMENTAL_MAX_SHARE`` of n).
+The J1 rows are gathered once per state, for A* pi and the Newton
+operator both.  Each subproblem starts from a fresh A* pi: the caller's
+(``rebase``; the ALM and ADMM outer loops make that pass for their KKT
+check anyway) or its own.  The SVD of the accepted line-search trial is
+reused by the next state.
+
 Stopping.  ``solve_subproblem`` stops, in this order of checks, when
 
 - the caller's criterion fires (reason supplied by the caller), or the
@@ -39,7 +50,7 @@ otherwise backtrack to a vanishing step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,11 +62,13 @@ __all__ = [
     "SncgConfig",
     "SubproblemContext",
     "SubproblemState",
+    "AdjointSplit",
     "NewtonWorkspace",
     "SubproblemResult",
     "eval_phi",
     "grad_phi",
     "compute_state",
+    "rebase",
     "newton_direction",
     "line_search",
     "solve_subproblem",
@@ -66,6 +79,12 @@ __all__ = [
 # eps * S; differences below ROUNDOFF_FACTOR * eps * S are taken as noise.
 ROUNDOFF_FACTOR = 32.0
 _EPS = float(np.finfo(np.float64).eps)
+# compute_state updates A* pi over the rows that crossed C only while they
+# number at most this share of n.  The J1 rows are gathered for the Newton
+# step either way, so the update costs a gather and a GEMV over the crossed
+# rows, against one full GEMV: at n=5000, 30% of the rows cost about as
+# much as all of them.
+INCREMENTAL_MAX_SHARE = 0.3
 
 
 @dataclass
@@ -124,6 +143,21 @@ class SubproblemContext:
         return self.hyper.tau > 0
 
 
+@dataclass(frozen=True)
+class AdjointSplit:
+    """A* pi_omega = j1_part + C g at one state, split by the side of C.
+
+    ``g`` is vec of sum_{omega_i >= C} y_i X_i over the rows in ``in_j2``,
+    ``j1_part`` vec of A*_J1 pi_J1, and ``drift`` = C sum_i r_i over the
+    rows g was updated on since it was last taken from a full pass.
+    """
+
+    g: np.ndarray
+    in_j2: np.ndarray
+    j1_part: np.ndarray
+    drift: float = 0.0
+
+
 @dataclass
 class SubproblemState:
     """Everything evaluated at one (W, b): value, gradient, the shared box
@@ -145,6 +179,10 @@ class SubproblemState:
     alpha_size: int
     grad_scale: float  # size of the gradient's terms before cancellation
     phi_scale: float  # size of phi's terms before cancellation
+    AW: np.ndarray  # A W, fresh or carried through the Newton steps
+    j1: np.ndarray  # J1 = {j : 0 < omega_j < C}
+    split: AdjointSplit | None = None  # how A* pi was formed, for the next state
+    j1_rows: np.ndarray | None = None  # signed rows y_j vec(X_j), j in J1
 
     @property
     def at_roundoff_floor(self) -> bool:
@@ -158,21 +196,91 @@ def _phi_support_part(omega: np.ndarray, C: float) -> float:
     return float(C * np.sum(np.maximum(resid, 0.0)) + 0.5 * np.sum(pi * pi))
 
 
-def compute_state(ctx: SubproblemContext, W: np.ndarray, b: float) -> SubproblemState:
+def _gather_signed(ds: Dataset, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows y_j vec(X_j), j in idx, written into the first |idx| rows of rows."""
+    # mode="clip" gathers straight into out; idx holds valid indices only
+    out = np.take(ds.flat_features, idx, axis=0, out=rows[: idx.size], mode="clip")
+    out *= ds.labels[idx, None]
+    return out
+
+
+def _adjoint_pi(ctx, pi_omega, j1, in_j2, base, rows):
+    """A* pi_omega, its split and the J1 rows.
+
+    With the split of a state before (``base``), g is updated over the rows
+    that entered or left {omega >= C} since then; otherwise, or when those
+    rows exceed ``INCREMENTAL_MAX_SHARE`` of n or do not fit in ``rows``
+    next to J1, A* pi is one full pass and g is what remains of it after
+    the J1 part.
+    """
+    ds, C = ctx.dataset, ctx.hyper.C
+    n = ds.n_samples
+    if rows is None:
+        return apply_A_adjoint(ds, pi_omega).ravel(), None, None
+    changed = None
+    if base is not None:
+        changed = np.flatnonzero(in_j2 != base.in_j2)
+        if changed.size > INCREMENTAL_MAX_SHARE * n or j1.size + changed.size > n:
+            changed = None
+    if changed is None:
+        At_pi = apply_A_adjoint(ds, pi_omega).ravel()
+        aj = _gather_signed(ds, j1, rows)
+        j1_part = aj.T @ pi_omega[j1]
+        return At_pi, AdjointSplit((At_pi - j1_part) / C, in_j2, j1_part), aj
+    block = _gather_signed(ds, np.concatenate((j1, changed)), rows)
+    k = j1.size
+    aj = block[:k]
+    j1_part = aj.T @ pi_omega[j1]
+    g = base.g + block[k:].T @ np.where(in_j2[changed], 1.0, -1.0)
+    drift = base.drift + C * float(np.sum(ds.row_norms[changed]))
+    return j1_part + C * g, AdjointSplit(g, in_j2, j1_part, drift), aj
+
+
+def rebase(split: AdjointSplit, At_pi: np.ndarray, C: float) -> AdjointSplit:
+    """``split`` with g re-derived from a fresh ``At_pi`` = A* pi_omega.
+
+    A caller that makes that full pass anyway (the KKT check needs
+    A* lam, and lam = -pi_omega) hands it back here; the next subproblem
+    then starts its updates of A* pi from it with zero drift instead of
+    making a pass of its own.
+    """
+    return replace(split, g=(np.ravel(At_pi) - split.j1_part) / C, drift=0.0)
+
+
+def compute_state(
+    ctx: SubproblemContext,
+    W: np.ndarray,
+    b: float,
+    AW: np.ndarray | None = None,
+    svd: prox.MatrixSvd | None = None,
+    base: AdjointSplit | None = None,
+    rows: np.ndarray | None = None,
+) -> SubproblemState:
     """Evaluate phi, its gradient, and the recovered blocks at (W, b).
 
     Alongside the gradient it sizes the terms the gradient is summed from,
     with row norms r_i = ||(vec X_i, y_i)||: the proximal terms, the
     unsigned sum sum_i r_i pi_i behind A* pi and y' pi, the roundoff of
     omega carried through the rows with 0 < omega_i < C, which is
-    sigma ||(W, b)|| sum_{J1} r_i^2, and the argument of the nuclear prox,
+    sigma ||(W, b)|| sum_{J1} r_i^2, the roundoff of an A* pi updated
+    step by step (``split.drift``), and the argument of the nuclear prox,
     whose split ``Xk - Y`` cancels.
+
+    Known products skip their passes: ``AW`` is A W, and ``svd`` the SVD
+    of ``Lam_k + sigma W``.  Given a ``rows`` buffer of shape (n, p q),
+    the J1 rows are gathered into it for the Newton step (``j1_rows``,
+    valid until the next call with the buffer), and ``base``, the split of
+    the state before, lets A* pi be updated instead of recomputed (see
+    ``_adjoint_pi``).
     """
     ds, sigma = ctx.dataset, ctx.sigma
     C = ctx.hyper.C
     y = ds.labels
-    omega = -ctx.lam_k - sigma * (apply_A(ds, W) + b * y - 1.0)
+    if AW is None:
+        AW = apply_A(ds, W)
+    omega = -ctx.lam_k - sigma * (AW + b * y - 1.0)
     pi_omega = np.clip(omega, 0.0, C)
+    j1 = np.flatnonzero((omega > 0.0) & (omega < C))
 
     dW = W if ctx.w_target is None else W - ctx.w_target
     db = b - ctx.b_center
@@ -184,15 +292,16 @@ def compute_state(ctx: SubproblemContext, W: np.ndarray, b: float) -> Subproblem
         + _phi_support_part(omega, C) / sigma
         - 0.5 * lam_sq / sigma
     )
-    grad_W = ctx.w_weight * dW - apply_A_adjoint(ds, pi_omega)
+    At_pi, split, j1_rows = _adjoint_pi(ctx, pi_omega, j1, omega >= C, base, rows)
+    grad_W = ctx.w_weight * dW - At_pi.reshape(W.shape)
     grad_b = ctx.b_weight * db - float(y @ pi_omega)
-    rows = ds.row_norms
-    rows_j1 = rows[(omega > 0.0) & (omega < C)]
+    rows_j1 = ds.row_norms[j1]
     grad_scale = (
         ctx.w_weight * np.sqrt(dW_sq)
         + abs(ctx.b_weight * db)
-        + rows @ pi_omega
+        + ds.row_norms @ pi_omega
         + sigma * np.sqrt(np.sum(W * W) + b * b) * (rows_j1 @ rows_j1)
+        + (split.drift if split is not None else 0.0)
     )
     phi_scale = 0.5 * ctx.w_weight * dW_sq + 0.5 * lam_sq / sigma
 
@@ -200,7 +309,7 @@ def compute_state(ctx: SubproblemContext, W: np.ndarray, b: float) -> Subproblem
     alpha_size = 0
     if ctx.include_nuclear:
         Xk = ctx.Lam_k + sigma * W
-        nuc = prox.prox_nuclear(Xk, ctx.hyper.tau)
+        nuc = prox.prox_nuclear(Xk, ctx.hyper.tau, svd=svd)
         proj = Xk - nuc.Y  # exact Moreau split of Xk
         Lam_sq = np.sum(ctx.Lam_k * ctx.Lam_k)
         phi += prox.env_nuclear(Xk, ctx.hyper.tau, svd=nuc.svd) / sigma
@@ -235,6 +344,10 @@ def compute_state(ctx: SubproblemContext, W: np.ndarray, b: float) -> Subproblem
         alpha_size=alpha_size,
         grad_scale=float(grad_scale),
         phi_scale=float(abs(phi) + phi_scale),
+        AW=AW,
+        j1=j1,
+        split=split,
+        j1_rows=j1_rows,
     )
 
 
@@ -257,29 +370,21 @@ class NewtonWorkspace:
     application of the operator never touches samples outside J1.
 
     The signed rows, at up to n p q floats the largest block of a Newton
-    step, are gathered into the first |J1| rows of ``row_buffer`` when one
-    is given (shape ``(n, p*q)``, overwritten).
+    step, are the state's ``j1_rows`` when it has them (gathered into the
+    subproblem's row block); otherwise they are gathered here.
     """
 
-    def __init__(
-        self,
-        ctx: SubproblemContext,
-        state: SubproblemState,
-        config: SncgConfig,
-        row_buffer: np.ndarray | None = None,
-    ):
+    def __init__(self, ctx: SubproblemContext, state: SubproblemState, config: SncgConfig):
         ds = ctx.dataset
         self.sigma = ctx.sigma
         self.a_w = ctx.w_weight
         self.a_b = ctx.b_weight
         self.shape = (ds.p, ds.q)
-        omega = state.omega
-        self.j1 = np.flatnonzero((omega > 0.0) & (omega < ctx.hyper.C))
+        self.j1 = state.j1
         self.yj = ds.labels[self.j1]
-        out = None if row_buffer is None else row_buffer[: self.j1.size]
-        # mode="clip" gathers straight into out; J1 holds valid indices only
-        self.aj = np.take(ds.flat_features, self.j1, axis=0, out=out, mode="clip")
-        self.aj *= self.yj[:, None]
+        self.aj = state.j1_rows
+        if self.aj is None:
+            self.aj = _gather_signed(ds, self.j1, np.empty((self.j1.size, ds.p * ds.q)))
         self.rho = config.tau1 * min(config.tau2, state.grad_norm)
         self.denom = self.a_b + self.sigma * self.j1.size + self.rho
         self.ajy = self.aj.T @ self.yj  # vec of A*_J1 y_J1
@@ -400,8 +505,9 @@ def _phi_along(
     d_b: float,
     Ad: np.ndarray,
     alpha: float,
-) -> float:
-    """phi at (W + alpha d_W, b + alpha d_b) reusing the cached A W."""
+) -> tuple[float, prox.MatrixSvd | None]:
+    """phi at (W + alpha d_W, b + alpha d_b) reusing the cached A W, and
+    the SVD of ``Lam_k + sigma W`` there (None without the nuclear block)."""
     sigma = ctx.sigma
     C = ctx.hyper.C
     omega = state.omega - alpha * sigma * (Ad + d_b * ctx.dataset.labels)
@@ -414,11 +520,13 @@ def _phi_along(
         + _phi_support_part(omega, C) / sigma
         - 0.5 * np.sum(ctx.lam_k * ctx.lam_k) / sigma
     )
+    svd = None
     if ctx.include_nuclear:
         Xk = ctx.Lam_k + sigma * W_t
-        phi += prox.env_nuclear(Xk, ctx.hyper.tau) / sigma
+        svd = prox.full_svd(Xk)
+        phi += prox.env_nuclear(Xk, ctx.hyper.tau, svd=svd) / sigma
         phi -= 0.5 * np.sum(ctx.Lam_k * ctx.Lam_k) / sigma
-    return float(phi)
+    return float(phi), svd
 
 
 def line_search(
@@ -429,6 +537,7 @@ def line_search(
     d_b: float,
     config: SncgConfig,
     state: SubproblemState | None = None,
+    products: dict | None = None,
 ):
     """Armijo backtracking along (d_W, d_b).
 
@@ -436,7 +545,10 @@ def line_search(
     descent test (possible in finite precision).  A full step whose change
     in phi is within roundoff of ``state.phi_scale`` is accepted: Armijo
     cannot tell such a step from a flat one.  Returns
-    (alpha, evaluations, direction actually used, stalled flag).
+    (alpha, evaluations, direction actually used, stalled flag).  On an
+    accepted step, ``products`` (if given) receives ``"Ad"``, A d_W of the
+    direction used, and ``"svd"``, the SVD of ``Lam_k + sigma W`` at the
+    new iterate, for the next ``compute_state``.
     """
     if state is None:
         state = compute_state(ctx, W, b)
@@ -451,11 +563,13 @@ def line_search(
     alpha = 1.0
     evals = 0
     while evals < config.ls_max_backtracks:
-        trial = _phi_along(ctx, state, d_W, d_b, Ad, alpha)
+        trial, svd = _phi_along(ctx, state, d_W, d_b, Ad, alpha)
         evals += 1
-        if trial <= state.phi + config.mu * alpha * g_dot_d:
-            return alpha, evals, d_W, d_b, False
-        if evals == 1 and abs(trial - state.phi) <= flat:
+        if trial <= state.phi + config.mu * alpha * g_dot_d or (
+            evals == 1 and abs(trial - state.phi) <= flat
+        ):
+            if products is not None:
+                products.update(Ad=Ad, svd=svd)
             return alpha, evals, d_W, d_b, False
         alpha *= config.delta_ls
     # no Armijo step within the backtracking budget: numerically flat
@@ -497,6 +611,8 @@ def solve_subproblem(
     b0: float,
     stop,
     config: SncgConfig | None = None,
+    AW0: np.ndarray | None = None,
+    base: AdjointSplit | None = None,
 ) -> SubproblemResult:
     """Newton iteration on phi until the caller's criterion fires.
 
@@ -508,20 +624,26 @@ def solve_subproblem(
     line-search stall above the floor or when ``max_newton_iter`` runs
     out (see the module docstring).  The slack blocks and the tentative
     multipliers are recovered from the final state's proximal splits.
+
+    ``AW0``, if given, is A W0; each step then carries A W forward as
+    ``A W + alpha A d``.  A* pi is updated over the rows that crossed C
+    from state to state (see ``compute_state``).  It starts from ``base``,
+    the split of an earlier subproblem's state on the same data and C,
+    best ``rebase``d on a fresh pass; without it the first state makes one.
     """
     if config is None:
         config = SncgConfig()
     W = np.array(W0, dtype=np.float64, copy=True)
     b = float(b0)
-    state = compute_state(ctx, W, b)
+    # The states share one block for the rows they gather.  In its own
+    # mapping only rows written are resident, and a row count that changes
+    # from step to step stays off the allocator's heap (see mapped_empty).
+    rows = mapped_empty(ctx.dataset.flat_features.shape)
+    state = compute_state(ctx, W, b, AW=AW0, base=base, rows=rows)
     stats = SubproblemStats()
     converged = False
     reason = "max-newton-iterations"
     iterations = 0
-    # The Newton steps share one block for their J1 rows.  In its own
-    # mapping only rows written are resident, and a |J1| that changes from
-    # step to step stays off the allocator's heap (see mapped_empty).
-    row_buffer = None
     for i in range(config.max_newton_iter + 1):
         stats.grad_norms.append(state.grad_norm)
         stats.phi_values.append(state.phi)
@@ -537,24 +659,29 @@ def solve_subproblem(
             break
         if i == config.max_newton_iter:
             break
-        if row_buffer is None:
-            row_buffer = mapped_empty(ctx.dataset.flat_features.shape)
-        ws = NewtonWorkspace(ctx, state, config, row_buffer)
+        ws = NewtonWorkspace(ctx, state, config)
         stats.j1_sizes.append(ws.j1.size)
         tol_cg = min(config.eta_bar, state.grad_norm ** (1.0 + config.varrho))
         d_W, d_b, cg_it, _ = newton_direction(
             ctx, W, b, ws, tol_cg, state=state, cg_max_iter=config.cg_max_iter
         )
         stats.cg_iters.append(cg_it)
-        alpha, _, d_W, d_b, stalled = line_search(ctx, W, b, d_W, d_b, config, state=state)
+        step = {}
+        alpha, _, d_W, d_b, stalled = line_search(
+            ctx, W, b, d_W, d_b, config, state=state, products=step
+        )
         if stalled:
             reason = "line-search-stall"
             break
         W = W + alpha * d_W
         b = b + alpha * d_b
         stats.step_sizes.append(alpha)
-        state = compute_state(ctx, W, b)
+        AW = step["Ad"]  # A W + alpha A d, formed in the block of A d
+        AW *= alpha
+        AW += state.AW
+        state = compute_state(ctx, W, b, AW=AW, svd=step["svd"], base=state.split, rows=rows)
         iterations = i + 1
+    state.j1_rows = None  # lets the row block go
     return SubproblemResult(
         W=W,
         b=b,

@@ -3,7 +3,7 @@ import pytest
 
 from smmsolve import admm, alm
 from smmsolve import data as sdata
-from smmsolve.problem import Hyperparams, apply_A
+from smmsolve.problem import Hyperparams, apply_A, classify_samples, kkt_residual
 
 
 
@@ -108,6 +108,37 @@ class TestSgsIsPadmm:
             etas = [h["eta_kkt"] for h in sol.report.history]
             best = np.minimum.accumulate(etas)
             assert all(b <= a + 1e-15 for a, b in zip(best, best[1:]))
+
+
+class TestReport:
+    @pytest.mark.parametrize("tau", [1.0, 5.0])
+    def test_rank_matches_alpha_and_j1_matches_active_set(self, small_synth, tau):
+        train, _, _ = small_synth
+        hyper = Hyperparams(C=1.0, tau=tau)
+        sol = admm.solve_ispadmm(train, hyper, admm.AdmmConfig(kkt_tol=1e-8))
+        assert sol.report.converged
+        s = np.linalg.svd(sol.primal.W, compute_uv=False)
+        assert int(np.sum(s > 1e-8 * s[0])) == sol.report.alpha_size
+        cls = classify_samples(sol.dual.lam, hyper.C)
+        assert sol.report.j1_size == cls.asm_count
+
+    @pytest.mark.parametrize("solver", [admm.solve_ispadmm, admm.solve_sgs_ispadmm])
+    def test_reported_eta_is_a_fresh_recompute(self, instance, solver):
+        train, hyper, _ = instance
+        sol = solver(train, hyper, admm.AdmmConfig(kkt_tol=1e-6, track_history=False))
+        fresh = kkt_residual(train, hyper, sol.primal, sol.dual)
+        assert sol.report.eta_kkt == fresh.eta
+        assert sol.report.raw_components == fresh.raw
+
+    @pytest.mark.parametrize("solver", [admm.solve_ispadmm, admm.solve_sgs_ispadmm])
+    def test_alpha_is_the_rank_of_the_last_nuclear_prox(self, instance, solver):
+        # U is the last prox output over gamma: its rank is that prox's k_bar
+        train, hyper, _ = instance
+        sol = solver(train, hyper, admm.AdmmConfig(kkt_tol=1e-6, track_history=False))
+        s = np.linalg.svd(sol.primal.U, compute_uv=False)
+        assert sol.report.alpha_size == int(np.sum(s > 1e-12 * s[0])) > 0
+        if solver is admm.solve_sgs_ispadmm:
+            assert sol.report.j1_size == 0
 
 
 class TestMultiplierDirections:

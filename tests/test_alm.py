@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from smmsolve import alm, sncg
+import smmsolve
+from smmsolve import admm, alm, cli, problem, sieving, sncg
 from smmsolve import data as sdata
 from smmsolve.problem import (
     Dataset,
@@ -212,3 +213,44 @@ class TestAttemptHistory:
         # the KKT target is met, but a failed subproblem was taken on the way
         assert rep.eta_kkt <= 1e-3 and rep.n_outer < cfg.max_outer_iter
         assert not rep.converged
+
+
+def count_full_passes(monkeypatch):
+    """Count A / A* calls and Newton directions, in every module namespace
+    that holds the functions."""
+    calls = {"passes": 0, "newton": 0}
+    for name in ("apply_A", "apply_A_adjoint", "newton_direction"):
+        original = getattr(sncg, name)
+        key = "newton" if name == "newton_direction" else "passes"
+
+        def counted(*args, _f=original, _k=key, **kwargs):
+            calls[_k] += 1
+            return _f(*args, **kwargs)
+
+        for mod in (smmsolve, problem, sncg, alm, admm, sieving, cli):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestFullPasses:
+    @pytest.mark.parametrize("tau", [1.0, 5.0])
+    def test_passes_per_newton_direction(self, small_synth, monkeypatch, tau):
+        train, _, _ = small_synth
+        calls = count_full_passes(monkeypatch)
+        sol = alm.solve(train, Hyperparams(C=1.0, tau=tau), alm.AlmConfig(kkt_tol=1e-6))
+        assert sol.report.converged
+        assert calls["newton"] > 0
+        assert calls["passes"] <= 1.6 * calls["newton"]
+
+    @pytest.mark.parametrize("tau", [1.0, 5.0])
+    def test_reported_eta_is_a_fresh_recompute(self, small_synth, tau):
+        train, _, _ = small_synth
+        hyper = Hyperparams(C=1.0, tau=tau)
+        sol = alm.solve(train, hyper, alm.AlmConfig(kkt_tol=1e-8))
+        fresh = kkt_residual(train, hyper, sol.primal, sol.dual)
+        assert sol.report.eta_kkt == fresh.eta
+        assert sol.report.raw_components == fresh.raw
+        assert sol.report.objective == problem.primal_objective(
+            train, hyper, sol.primal.W, sol.primal.b
+        )

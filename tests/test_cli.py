@@ -199,6 +199,17 @@ class TestPredict:
         rep = json.load(open(str(tmp_path / "acc.json")))
         assert rep["accuracy"] == pytest.approx(float(np.mean(ds.labels == 1.0)))
 
+    def test_model_shape_mismatch_is_a_data_error(self, ws, tmp_path, capsys):
+        root, train, test = ws
+        ds = sdata.load_dataset(test)
+        model = str(tmp_path / "wide.npz")
+        shape = (ds.p + 1, ds.q + 2)
+        sdata.save_model(model, sdata.Model(W=np.ones(shape), b=0.0))
+        rc = cli.main(["predict", "--model", model, "--data", test])
+        assert rc == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert str(shape) in err and str((ds.p, ds.q)) in err
+
 
 class TestBench:
     def test_contract_all_met_or_timeout(self, ws):

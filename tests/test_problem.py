@@ -285,6 +285,32 @@ class TestKktResidual:
         assert res.raw["b"] == pytest.approx(abs(dual.lam @ tiny_dataset.labels))
 
 
+class TestSharedProducts:
+    """Precomputed A W and A* lam change nothing, to the bit (own generator,
+    so the shared rng stream of the other tests is left alone)."""
+
+    def test_kkt_and_objective_with_shared_products(self):
+        rng = np.random.default_rng(21)
+        ds = random_dataset(rng, 300, 4, 5)
+        hyper = Hyperparams(C=1.0, tau=0.7)
+        W = rng.standard_normal((4, 5))
+        primal = PrimalPoint(W, 0.3, rng.standard_normal(300), rng.standard_normal((4, 5)))
+        dual = DualPoint(-rng.uniform(0.0, 1.0, 300), rng.standard_normal((4, 5)))
+        AW = apply_A(ds, W)
+        At_lam = apply_A_adjoint(ds, dual.lam)
+        plain = kkt_residual(ds, hyper, primal, dual)
+        shared = kkt_residual(ds, hyper, primal, dual, AW, At_lam)
+        assert shared.eta == plain.eta
+        assert shared.components == plain.components and shared.raw == plain.raw
+        assert primal_objective(ds, hyper, W, 0.3, AW) == primal_objective(ds, hyper, W, 0.3)
+        # the products given are the ones used: no pass of its own
+        assert kkt_residual(ds, hyper, primal, dual, AW + 1.0).raw["lambda"] != plain.raw["lambda"]
+        assert kkt_residual(ds, hyper, primal, dual, AW, At_lam + 1.0).raw["W"] != plain.raw["W"]
+        assert primal_objective(ds, hyper, W, 0.3, AW + 1.0) != primal_objective(ds, hyper, W, 0.3)
+        # the negated adjoint of -lam is the adjoint of lam, to the bit
+        np.testing.assert_array_equal(-apply_A_adjoint(ds, -dual.lam), At_lam)
+
+
 class TestClassifySamples:
     def test_three_zone_example(self):
         C = 2.0

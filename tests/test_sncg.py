@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -206,10 +208,12 @@ class TestNewtonDirection:
 
     def test_row_buffer_gives_the_same_operator(self, rng):
         ctx = make_context(rng, n=25, p=4, q=4)
-        state = sncg.compute_state(ctx, rng.standard_normal((4, 4)), 0.1)
+        W = rng.standard_normal((4, 4))
+        state = sncg.compute_state(ctx, W, 0.1)
         plain = sncg.NewtonWorkspace(ctx, state, sncg.SncgConfig())
         buf = np.full(ctx.dataset.flat_features.shape, np.nan)
-        shared = sncg.NewtonWorkspace(ctx, state, sncg.SncgConfig(), buf)
+        gathered = sncg.compute_state(ctx, W, 0.1, rows=buf)
+        shared = sncg.NewtonWorkspace(ctx, gathered, sncg.SncgConfig())
         assert 0 < plain.j1.size < 25
         assert np.array_equal(shared.aj, plain.aj)
         assert np.shares_memory(shared.aj, buf)
@@ -454,3 +458,125 @@ class TestRoundoffStops:
             ctx, W, 0.0, 1e3 * d_W, 1e3 * d_b, cfg, state=state
         )
         assert alpha < 1.0 and not stalled
+
+
+class TestIncrementalProducts:
+    """A W carried through the steps and A* pi updated over changed rows
+    (own generators, so the shared rng stream of the other tests is left
+    alone)."""
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        calls = {"A": 0, "At": 0}
+
+        def counted_A(ds, W):
+            calls["A"] += 1
+            return apply_A(ds, W)
+
+        def counted_At(ds, z):
+            calls["At"] += 1
+            return apply_A_adjoint(ds, z)
+
+        monkeypatch.setattr(sncg, "apply_A", counted_A)
+        monkeypatch.setattr(sncg, "apply_A_adjoint", counted_At)
+        return calls
+
+    @staticmethod
+    def adjoint_error(ctx, state):
+        fresh = apply_A_adjoint(ctx.dataset, state.pi_omega).ravel()
+        split = state.split
+        return np.linalg.norm(split.j1_part + ctx.hyper.C * split.g - fresh)
+
+    def test_carried_AW_stays_within_roundoff(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        ctx = make_context(rng, n=200, p=4, q=5)
+        ds = ctx.dataset
+        W0 = rng.standard_normal((4, 5))
+        AW0 = apply_A(ds, W0)
+        calls = self.count_passes(monkeypatch)
+        res = sncg.solve_subproblem(ctx, W0, 0.3, never_stop, AW0=AW0)
+        assert res.converged and res.iterations >= 3
+        # one A d per line search and no A W of its own
+        assert calls["A"] == res.iterations
+        size = ds.row_norms * np.sqrt(np.sum(res.W * res.W) + res.b**2)
+        drift = np.abs(res.state.AW - apply_A(ds, res.W))
+        assert np.all(drift <= sncg.ROUNDOFF_FACTOR * np.finfo(np.float64).eps * size)
+
+    def test_incremental_adjoint_within_floor(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        ctx = make_context(rng, n=400, p=4, q=5)
+        rows = np.empty(ctx.dataset.flat_features.shape)
+        W0 = rng.standard_normal((4, 5))
+        first = sncg.compute_state(ctx, W0, 0.1, rows=rows)
+        calls = self.count_passes(monkeypatch)
+        W1 = W0 + 0.1 * rng.standard_normal((4, 5))
+        state = sncg.compute_state(ctx, W1, 0.1, base=first.split, rows=rows)
+        changed = np.count_nonzero(state.split.in_j2 != first.split.in_j2)
+        assert 0 < changed <= sncg.INCREMENTAL_MAX_SHARE * ctx.dataset.n_samples
+        assert calls["At"] == 0  # the incremental branch fired
+        assert self.adjoint_error(ctx, state) <= floor_of(state)
+        # the update's roundoff widens the floor
+        plain = sncg.compute_state(ctx, W1, 0.1)
+        assert state.split.drift > 0.0
+        assert state.grad_scale == pytest.approx(plain.grad_scale + state.split.drift, rel=1e-12)
+
+    def test_fallback_adjoint_is_a_fresh_pass(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        ctx = make_context(rng, n=400, p=4, q=5)
+        rows = np.empty(ctx.dataset.flat_features.shape)
+        first = sncg.compute_state(ctx, rng.standard_normal((4, 5)), 0.1, rows=rows)
+        calls = self.count_passes(monkeypatch)
+        state = sncg.compute_state(ctx, -first.W, -0.1, base=first.split, rows=rows)
+        changed = np.count_nonzero(state.split.in_j2 != first.split.in_j2)
+        assert changed > sncg.INCREMENTAL_MAX_SHARE * ctx.dataset.n_samples
+        assert calls["At"] == 1 and state.split.drift == 0.0
+        assert self.adjoint_error(ctx, state) <= floor_of(state)
+
+    def test_adjoint_updated_to_the_floor_stays_honest(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        ctx = make_context(rng, n=300, p=4, q=5)
+        calls = self.count_passes(monkeypatch)
+        res = sncg.solve_subproblem(ctx, np.zeros((4, 5)), 0.0, never_stop)
+        assert res.converged and res.stop_reason == "roundoff-floor"
+        assert calls["At"] < res.iterations + 1  # some states were updated
+        assert self.adjoint_error(ctx, res.state) <= floor_of(res.state)
+
+    def test_rebase_starts_the_next_subproblem_without_a_pass(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        ctx = make_context(rng, n=200, p=4, q=5)
+        first = sncg.solve_subproblem(ctx, np.zeros((4, 5)), 0.0, grad_tol_stop(1e-6))
+        fresh = apply_A_adjoint(ctx.dataset, first.state.pi_omega)
+        # g and its drift come from the fresh pass, whatever the state held
+        split = first.state.split
+        stale = replace(split, g=np.zeros_like(split.g), drift=1.0)
+        base = sncg.rebase(stale, fresh, ctx.hyper.C)
+        assert base.drift == 0.0
+        ctx2 = sncg.SubproblemContext(
+            dataset=ctx.dataset, hyper=ctx.hyper, sigma=ctx.sigma,
+            lam_k=first.lam_new, Lam_k=first.Lam_new,
+        )
+        calls = self.count_passes(monkeypatch)
+        rows = np.empty(ctx.dataset.flat_features.shape)
+        state = sncg.compute_state(ctx2, first.W, first.b, base=base, rows=rows)
+        assert calls["At"] == 0
+        assert self.adjoint_error(ctx2, state) <= floor_of(state)
+
+    def test_line_search_hands_back_its_products(self):
+        rng = np.random.default_rng(16)
+        ctx = make_context(rng, n=40, p=3, q=4)
+        W = rng.standard_normal((3, 4))
+        state = sncg.compute_state(ctx, W, 0.2)
+        step = {}
+        alpha, _, d_W, d_b, stalled = sncg.line_search(
+            ctx, W, 0.2, -state.grad_W, -state.grad_b, sncg.SncgConfig(),
+            state=state, products=step,
+        )
+        assert not stalled
+        np.testing.assert_array_equal(step["Ad"], apply_A(ctx.dataset, d_W))
+        W_new = W + alpha * d_W
+        trial = prox.full_svd(ctx.Lam_k + ctx.sigma * W_new)
+        np.testing.assert_array_equal(step["svd"].s, trial.s)
+        direct = sncg.compute_state(ctx, W_new, 0.2 + alpha * d_b)
+        reused = sncg.compute_state(ctx, W_new, 0.2 + alpha * d_b, svd=step["svd"])
+        assert reused.phi == direct.phi
+        np.testing.assert_array_equal(reused.grad_W, direct.grad_W)
