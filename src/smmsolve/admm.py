@@ -80,6 +80,7 @@ class _InnerResult:
     converged: bool
     j1_size: int  # |J1| of the last Newton state
     split: sncg.AdjointSplit  # A* pi of the last Newton state, split
+    AW: np.ndarray | None  # A W of the returned W when fresh, else None
 
 
 def _solve_quad_hinge(
@@ -102,7 +103,8 @@ def _solve_quad_hinge(
     off directly; the feasibility gap is driven below a matching cap.
     ``AW`` and ``base``, if given, are A W of the warm start and the split
     the first subproblem starts its updates of A* pi from; later ones
-    carry both on from the subproblem before.
+    carry both on from the subproblem before.  The returned ``AW`` is the
+    last subproblem's fresh A W, or None when it made none.
     """
     W, b, lam, sigma = warm
     n = dataset.n_samples
@@ -115,6 +117,7 @@ def _solve_quad_hinge(
     feas = np.inf
     v = np.zeros(n)
     j1_size = 0
+    fresh = False
     converged = False
     for _ in range(config.inner_max_outer):
         ctx = sncg.SubproblemContext(
@@ -133,6 +136,7 @@ def _solve_quad_hinge(
 
         sub = sncg.solve_subproblem(ctx, W, b, stop, config.inner, AW0=AW, base=base)
         AW, base, j1_size = sub.state.AW, sub.state.split, sub.state.j1.size
+        fresh = sub.fresh_AW
         W, b, v = sub.W, sub.b, sub.v
         lam_new = sub.lam_new
         # grad at (W, b) with the box projection equals the subproblem
@@ -147,7 +151,9 @@ def _solve_quad_hinge(
             converged = True
             break
         sigma = min(sigma * 5.0, 1e8)
-    return _InnerResult(W, b, v, lam, sigma, float(err_sq), feas, converged, j1_size, base)
+    return _InnerResult(
+        W, b, v, lam, sigma, float(err_sq), feas, converged, j1_size, base, AW if fresh else None
+    )
 
 
 def solve_ispadmm(
@@ -219,7 +225,7 @@ def solve_ispadmm(
         U, k_bar = nuc.Y / gamma, nuc.k_bar
         Lam = Lam + zeta * gamma * (W - U)
 
-        AW = apply_A(dataset, W)
+        AW = inner.AW if inner.AW is not None else apply_A(dataset, W)
         At_lam = apply_A_adjoint(dataset, lam)
         base = sncg.rebase(inner.split, -At_lam, hyper.C)
         res = kkt_residual(

@@ -105,8 +105,8 @@ class SolveReport:
 
     ``alpha_size`` is the number of singular values above ``tau`` in the
     solver's last nuclear prox (``k_bar``), and ``j1_size`` is |J1|, the
-    samples with ``0 < omega < C``: at the last Newton step for ALM, at
-    the last inner Newton state for ISPADMM.  sGS-ISPADMM
+    samples with ``0 < omega < C``, at the state the last subproblem
+    returned (for ISPADMM, its last inner one).  sGS-ISPADMM
     reports ``j1_size = 0``: it updates W by CG on the full data and
     never forms a Newton state.
     """
@@ -172,7 +172,10 @@ def sigma_update(sigma: float, config: AlmConfig, feas_prev: float | None, feas_
     return sigma
 
 
-def _criterion_closure(config: AlmConfig, ctx: sncg.SubproblemContext, z_lam, z_Lam, eps_k, eta_k):
+def _criterion_closure(config: AlmConfig, ctx: sncg.SubproblemContext, z_Lam, eps_k, eta_k):
+    """The subproblem's stop test; the multiplier step of lam is measured
+    from ``ctx.lam_k``.  At a screened state ||v|| is an upper bound (see
+    ``sncg.SubproblemState``), which only delays the test."""
     sigma = ctx.sigma
 
     def stop(state: sncg.SubproblemState, _i: int):
@@ -182,13 +185,12 @@ def _criterion_closure(config: AlmConfig, ctx: sncg.SubproblemContext, z_lam, z_
         x_norm = np.sqrt(
             np.sum(state.W * state.W)
             + state.b**2
-            + np.sum(state.v * state.v)
+            + state.v_norm**2
             + np.sum(state.U * state.U)
         )
-        d_lam = state.lam_new - z_lam
         d_Lam = state.Lam_new - z_Lam
-        z_norm = np.sqrt(np.sum(state.lam_new**2) + np.sum(state.Lam_new**2))
-        dz = np.sqrt(np.sum(d_lam * d_lam) + np.sum(d_Lam * d_Lam))
+        z_norm = np.sqrt(state.lam_new_norm**2 + np.sum(state.Lam_new**2))
+        dz = np.sqrt(state.lam_step_norm**2 + np.sum(d_Lam * d_Lam))
         data = CriterionData(
             grad_norm=gn,
             x_norm=float(x_norm),
@@ -267,10 +269,11 @@ def solve(
     last_j1 = 0
     last_alpha = 0
     outer = 0
-    # One fresh A W and one fresh A* lam per accepted iterate.  A W is
-    # shared by the KKT residual, the objective and the next subproblem's
-    # first state; A* lam = -A* pi by the KKT residual and, through
-    # sncg.rebase, by the next subproblem's updates of A* pi.
+    # One fresh A W and one fresh A* lam per accepted iterate.  A W (the
+    # subproblem's when it made one for the state it returns) is shared by
+    # the KKT residual, the objective and the next subproblem's first state;
+    # A* lam = -A* pi by the KKT residual and, through sncg.rebase, by the
+    # next subproblem's updates of A* pi.
     AW = np.zeros(n) if init is None else apply_A(dataset, W)
     base = None
 
@@ -284,7 +287,7 @@ def solve(
             lam_k=lam,
             Lam_k=Lam if hyper.tau > 0 else None,
         )
-        stop = _criterion_closure(config, ctx, lam, Lam, eps_k, eta_k)
+        stop = _criterion_closure(config, ctx, Lam, eps_k, eta_k)
         sub = sncg.solve_subproblem(ctx, W, b, stop, config.sncg, AW0=AW, base=base)
         outer += 1
         row = {
@@ -292,7 +295,7 @@ def solve(
             "sigma": sigma,
             "newton_iters": sub.iterations,
             "cg_iters": sub.stats.total_cg,
-            "j1_size": sub.stats.j1_sizes[-1] if sub.stats.j1_sizes else 0,
+            "j1_size": sub.state.j1.size,
             "alpha_size": sub.state.alpha_size,
             "stop_reason": sub.stop_reason,
             "accepted": True,
@@ -315,7 +318,7 @@ def solve(
         # the subproblem, so the multipliers are taken from there directly.
         lam = sub.lam_new
         Lam = sub.Lam_new
-        AW = apply_A(dataset, W)
+        AW = sub.state.AW if sub.fresh_AW else apply_A(dataset, W)
         At_lam = apply_A_adjoint(dataset, lam)
         base = sncg.rebase(sub.state.split, -At_lam, hyper.C)
         res = kkt_residual(

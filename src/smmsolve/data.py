@@ -207,19 +207,25 @@ def _load_binary(fh) -> Dataset:
     offset += 24
     if n == 0 or p == 0 or q == 0 or n > 10**12 or p * q > 10**9:
         raise FormatError(f"implausible dimensions ({n}, {p}, {q})", offset)
-    want = 8 * n
-    buf = fh.read(want)
-    if len(buf) < want:
+    # the declared blocks must fit in the file before any buffer is sized
+    # from the header
+    left = max(os.fstat(fh.fileno()).st_size - offset, 0)
+    label_bytes = 8 * n
+    if left < label_bytes:
+        raise FormatError(f"truncated label block: {label_bytes} bytes declared", offset + left)
+    feature_bytes = 8 * n * p * q
+    if left - label_bytes < feature_bytes:
+        raise FormatError(
+            f"truncated feature block: {feature_bytes} bytes declared", offset + left
+        )
+    buf = fh.read(label_bytes)
+    if len(buf) < label_bytes:
         raise FormatError("truncated label block", offset + len(buf))
     labels = np.frombuffer(buf, dtype="<f8")
-    offset += want
-    want = 8 * n * p * q
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if left < want:  # before the block is mapped
-        raise FormatError("truncated feature block", offset + max(left, 0))
+    offset += label_bytes
     features = mapped_empty((n, p, q), dtype="<f8", prefault=True)
     got = fh.readinto(memoryview(features).cast("B"))
-    if got < want:
+    if got < feature_bytes:
         raise FormatError("truncated feature block", offset + got)
     try:
         return Dataset(features, labels)

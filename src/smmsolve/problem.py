@@ -157,12 +157,24 @@ class Dataset:
         return self._flat
 
     @cached_property
+    def _squared_norms(self) -> np.ndarray:
+        return np.einsum("ij,ij->i", self._flat, self._flat)
+
+    @cached_property
     def row_norms(self) -> np.ndarray:
         """Norms ``||(vec X_i, y_i)||`` of the rows of ``(W, b) -> A W + b y``.
 
-        Computed on first use (one pass over the features) and cached.
+        Computed on first use (one pass over the features, shared with
+        ``feature_norms``) and cached.
         """
-        norms = np.sqrt(np.einsum("ij,ij->i", self._flat, self._flat) + 1.0)
+        norms = np.sqrt(self._squared_norms + 1.0)
+        norms.setflags(write=False)
+        return norms
+
+    @cached_property
+    def feature_norms(self) -> np.ndarray:
+        """Norms ``||vec X_i||``, the rows of ``W -> A W``; cached."""
+        norms = np.sqrt(self._squared_norms)
         norms.setflags(write=False)
         return norms
 

@@ -16,16 +16,29 @@ only the samples with omega strictly inside (0, C) and, through the
 spectral Jacobian, only the singular values above the nuclear threshold,
 so one application costs O(max(|J1|, k1) p q) instead of O(n p q).
 
-Cost of a Newton step.  One full pass over the data, the A d of the line
-search, plus O((|J1| + |dJ2|) p q).  A W is carried as A W + alpha A d;
-A* pi = A*_J1 pi_J1 + C g with g = sum_{omega_i >= C} y_i X_i, and g is
-updated over the dJ2 rows that crossed omega = C since the state before
-(a full pass instead when they exceed ``INCREMENTAL_MAX_SHARE`` of n).
-The J1 rows are gathered once per state, for A* pi and the Newton
-operator both.  Each subproblem starts from a fresh A* pi: the caller's
-(``rebase``; the ALM and ADMM outer loops make that pass for their KKT
-check anyway) or its own.  The SVD of the accepted line-search trial is
-reused by the next state.
+Cost of a Newton step.  Most steps touch only a working set R of rows,
+O((|R| + |J1|) p q) with no pass over the data.  A state on all rows
+anchors R for the step it is about to take: with the step's length, it
+leaves out every row whose omega_i is too far from both kinks 0 and C to
+cross one within SCREEN_RADIUS times that length (``Screen``; the bound
+is |d omega_i| <= sigma (||vec X_i|| ||dW|| + |db|), as in safe
+screening of non-support vectors).  Those rows keep pi_i = 0 or C, and
+enter phi and its gradient through sums taken once at the anchor.  R's
+rows are gathered once; the states, the line-search trials and their
+A d then run over R alone, as long as the steps stay in the anchor's
+ball.  A step that would leave it goes back to all rows first (one fresh
+A W), and an R above ``SCREEN_MAX_SHARE`` of n is not kept: such a step
+makes one full pass, the A d of its line search.  Either way A W is
+carried as A W + alpha A d; A* pi = A*_J1 pi_J1 + C g with
+g = sum_{omega_i >= C} y_i X_i, g updated over the rows that crossed
+omega = C since the state before (a full pass instead when they exceed
+``INCREMENTAL_MAX_SHARE`` of n).  The J1 rows are gathered once per state
+(kept when J1 does not change), for A* pi and the Newton operator both.
+Each subproblem starts from a fresh A* pi: the caller's (``rebase``; the
+ALM and ADMM outer loops make that pass for their KKT check anyway) or
+its own.  The SVD of the accepted line-search trial is reused by the
+next state.  A subproblem ending on R makes one fresh A W to return a
+state on all rows, which the caller uses in place of its own pass.
 
 Stopping.  ``solve_subproblem`` stops, in this order of checks, when
 
@@ -51,6 +64,7 @@ otherwise backtrack to a vanishing step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +76,7 @@ __all__ = [
     "SncgConfig",
     "SubproblemContext",
     "SubproblemState",
+    "Screen",
     "AdjointSplit",
     "NewtonWorkspace",
     "SubproblemResult",
@@ -85,6 +100,106 @@ _EPS = float(np.finfo(np.float64).eps)
 # rows, against one full GEMV: at n=5000, 30% of the rows cost about as
 # much as all of them.
 INCREMENTAL_MAX_SHARE = 0.3
+# A state on all rows anchors a working set R for the step it is about to
+# take and the steps after it: the ball around it holds SCREEN_RADIUS times
+# that step in W and in b (Newton steps shrink, so the next ones mostly fit
+# the rest of it).  R is kept only while it holds at most SCREEN_MAX_SHARE
+# of the rows: at n=5000, p q=400 a step over R costs about 0.5 us per row
+# of R against 1.1 ms for a step over all rows, and R is gathered once for
+# a few steps.  Solve times at n=2000 and 5000 stayed within noise of each
+# other for radii 1.5 to 3 and shares 0.05 to 0.3.  The share must stay
+# below 1/2, for the J1 rows to fit next to R in the row block.
+SCREEN_RADIUS = 2.0
+SCREEN_MAX_SHARE = 0.1
+
+
+def _norm(W: np.ndarray, b: float) -> float:
+    return float(np.sqrt(np.sum(W * W) + b * b))
+
+
+@dataclass(frozen=True)
+class Screen:
+    """The rows a state is evaluated on, and what the other rows add.
+
+    ``idx`` is the working set R of an anchor ``(W, b)`` with all rows
+    known, or None for all rows (``SubproblemContext.all_rows``).  The
+    anchor's ball holds the points within ``rho_W`` of W and ``rho_b`` of
+    b; there |d omega_i| <= sigma (||vec X_i|| rho_W + rho_b).  A row whose
+    omega_i lies farther than that, plus roundoff, from both kinks 0 and C
+    at the anchor is left out of R: in the ball it keeps its piece of the
+    hinge, pi_i = 0 below 0 and pi_i = C above C, where its part of phi is
+    linear.  ``block`` holds the feature rows of R (gathered once,
+    unsigned; the feature block itself for all rows), and ``labels``,
+    ``lam`` and ``row_norms`` their y, lam_k and r.
+
+    The left-out rows enter through sums taken at the anchor: over the
+    ``n_c`` rows above C, omega sums to ``omega_c``, y to ``y_c``, r to
+    ``r_c`` and y_i vec(X_i) to ``g_c`` (with roundoff ``drift``, as in
+    ``AdjointSplit``); over all ``n_out`` left-out rows ||pi + lam_k||^2 is
+    ``dlam_sq``, ||v|| is ``v_norm`` and the norm of their ||vec X_i|| is
+    ``x_norm``.  ``in_j2`` is the anchor's mask of {omega >= C} over all
+    rows.
+    """
+
+    idx: np.ndarray | None
+    block: np.ndarray
+    labels: np.ndarray
+    lam: np.ndarray
+    row_norms: np.ndarray
+    W: np.ndarray | None = None
+    b: float = 0.0
+    rho_W: float = np.inf
+    rho_b: float = np.inf
+    in_j2: np.ndarray | None = None
+    n_c: int = 0
+    omega_c: float = 0.0
+    y_c: float = 0.0
+    r_c: float = 0.0
+    g_c: np.ndarray | None = None
+    drift: float = 0.0
+    n_out: int = 0
+    dlam_sq: float = 0.0
+    v_norm: float = 0.0
+    x_norm: float = 0.0
+
+    @property
+    def size(self) -> int:
+        """Rows of the row block that ``block`` occupies (0 for all rows)."""
+        return 0 if self.idx is None else self.idx.size
+
+    def fits(self, W: np.ndarray, b: float, d_W: np.ndarray, d_b: float) -> bool:
+        """Whether (W, b) + alpha (d_W, d_b), 0 <= alpha <= 1, stays in the ball."""
+        if self.idx is None:
+            return True
+        return (
+            np.linalg.norm(W - self.W) + np.linalg.norm(d_W) <= self.rho_W
+            and abs(b - self.b) + abs(d_b) <= self.rho_b
+        )
+
+    def v_out(self, W: np.ndarray, b: float) -> float:
+        """An upper bound on ||v|| over the left-out rows at (W, b)."""
+        if self.idx is None:
+            return 0.0
+        return (
+            self.v_norm
+            + self.x_norm * np.linalg.norm(W - self.W)
+            + np.sqrt(self.n_out) * abs(b - self.b)
+        )
+
+    def apply(self, ds: Dataset, d_W: np.ndarray) -> np.ndarray:
+        """A d_W over the screen's rows; a full pass when they are all."""
+        if self.idx is None:
+            return apply_A(ds, d_W)
+        return (self.block @ d_W.ravel()) * self.labels
+
+    def outside_phi(self, sigma: float, C: float, W: np.ndarray, b: float) -> float:
+        """sigma times the left-out rows' part of phi at (W, b)."""
+        if not self.n_c:
+            return 0.0
+        omega_c = self.omega_c - sigma * (
+            float(self.g_c @ (W - self.W).ravel()) + (b - self.b) * self.y_c
+        )
+        return C * omega_c - 0.5 * self.n_c * C * C
 
 
 @dataclass
@@ -114,6 +229,11 @@ class SncgConfig:
                 raise ValueError(f"{name} must lie in (0, 1)")
         if not 0 < self.varrho <= 1:
             raise ValueError("varrho must lie in (0, 1]")
+        for name in ("cg_max_iter", "ls_max_backtracks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.max_newton_iter < 0:
+            raise ValueError("max_newton_iter must be nonnegative")
 
 
 @dataclass
@@ -142,6 +262,21 @@ class SubproblemContext:
     def include_nuclear(self) -> bool:
         return self.hyper.tau > 0
 
+    # Cached on first use: the fields are not to change after that.
+    @cached_property
+    def lam_sq(self) -> float:
+        return float(np.sum(self.lam_k * self.lam_k))
+
+    @cached_property
+    def Lam_sq(self) -> float:
+        return float(np.sum(self.Lam_k * self.Lam_k)) if self.include_nuclear else 0.0
+
+    @cached_property
+    def all_rows(self) -> Screen:
+        """The screen of all rows: nothing left out."""
+        ds = self.dataset
+        return Screen(None, ds.flat_features, ds.labels, self.lam_k, ds.row_norms)
+
 
 @dataclass(frozen=True)
 class AdjointSplit:
@@ -161,7 +296,14 @@ class AdjointSplit:
 @dataclass
 class SubproblemState:
     """Everything evaluated at one (W, b): value, gradient, the shared box
-    projection, and the recovered slack/multiplier candidates."""
+    projection, and the recovered slack/multiplier candidates.
+
+    Vectors over samples (``omega``, ``pi_omega``, ``AW``) run over the
+    rows of ``screen``; ``v`` and ``lam_new`` are only formed when those
+    are all rows, and are None otherwise.  ``v_norm``, ``lam_new_norm``
+    and ``lam_step_norm`` (||lam_new - lam_k||) are exact, except that
+    ``v_norm`` bounds ||v|| from above at a screened state.
+    """
 
     W: np.ndarray
     b: float
@@ -171,18 +313,22 @@ class SubproblemState:
     grad_norm: float
     omega: np.ndarray
     pi_omega: np.ndarray
-    v: np.ndarray
+    v: np.ndarray | None
     U: np.ndarray
-    lam_new: np.ndarray
+    lam_new: np.ndarray | None
     Lam_new: np.ndarray
     nuc: prox.NuclearProx | None
     alpha_size: int
     grad_scale: float  # size of the gradient's terms before cancellation
     phi_scale: float  # size of phi's terms before cancellation
     AW: np.ndarray  # A W, fresh or carried through the Newton steps
-    j1: np.ndarray  # J1 = {j : 0 < omega_j < C}
+    j1: np.ndarray  # J1 = {j : 0 < omega_j < C}, as indices into all rows
+    screen: Screen
+    v_norm: float
+    lam_new_norm: float
+    lam_step_norm: float
     split: AdjointSplit | None = None  # how A* pi was formed, for the next state
-    j1_rows: np.ndarray | None = None  # signed rows y_j vec(X_j), j in J1
+    j1_rows: np.ndarray | None = None  # feature rows vec(X_j), j in J1
 
     @property
     def at_roundoff_floor(self) -> bool:
@@ -196,22 +342,54 @@ def _phi_support_part(omega: np.ndarray, C: float) -> float:
     return float(C * np.sum(np.maximum(resid, 0.0)) + 0.5 * np.sum(pi * pi))
 
 
-def _gather_signed(ds: Dataset, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows y_j vec(X_j), j in idx, written into the first |idx| rows of rows."""
+def _phi(ctx, screen, omega, W, b, svd=None):
+    """phi at (W, b) from omega over the screen's rows, and the SVD of
+    ``Lam_k + sigma W`` it used (None without the nuclear block)."""
+    sigma, C = ctx.sigma, ctx.hyper.C
+    dW = W if ctx.w_target is None else W - ctx.w_target
+    db = b - ctx.b_center
+    phi = (
+        0.5 * ctx.w_weight * np.sum(dW * dW)
+        + 0.5 * ctx.b_weight * db * db
+        + (_phi_support_part(omega, C) + screen.outside_phi(sigma, C, W, b)) / sigma
+        - 0.5 * ctx.lam_sq / sigma
+    )
+    if ctx.include_nuclear:
+        Xk = ctx.Lam_k + sigma * W
+        if svd is None:
+            svd = prox.full_svd(Xk)
+        phi += prox.env_nuclear(Xk, ctx.hyper.tau, svd=svd) / sigma
+        phi -= 0.5 * ctx.Lam_sq / sigma
+    return float(phi), svd
+
+
+def _gather(ds: Dataset, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows vec(X_j), j in idx, written into the first |idx| rows of rows.
+
+    The rows stay unsigned: with y_j = +-1 the labels fold into the
+    vectors they multiply, which costs no pass over the block.
+    """
     # mode="clip" gathers straight into out; idx holds valid indices only
-    out = np.take(ds.flat_features, idx, axis=0, out=rows[: idx.size], mode="clip")
-    out *= ds.labels[idx, None]
-    return out
+    return np.take(ds.flat_features, idx, axis=0, out=rows[: idx.size], mode="clip")
 
 
-def _adjoint_pi(ctx, pi_omega, j1, in_j2, base, rows):
-    """A* pi_omega, its split and the J1 rows.
+def _j1_rows(ds: Dataset, j1: np.ndarray, rows: np.ndarray, reuse) -> np.ndarray:
+    """The J1 rows: those of ``reuse`` = (J1, rows) of the state before
+    when J1 came out the same, else gathered into the head of ``rows``."""
+    if reuse is not None and reuse[1] is not None and np.array_equal(reuse[0], j1):
+        return reuse[1]
+    return _gather(ds, j1, rows)
+
+
+def _adjoint_pi(ctx, pi_omega, j1, in_j2, base, rows, reuse=None):
+    """A* pi_omega over all rows, its split and the J1 rows.
 
     With the split of a state before (``base``), g is updated over the rows
     that entered or left {omega >= C} since then; otherwise, or when those
     rows exceed ``INCREMENTAL_MAX_SHARE`` of n or do not fit in ``rows``
     next to J1, A* pi is one full pass and g is what remains of it after
-    the J1 part.
+    the J1 part.  The J1 rows go first in ``rows`` (see ``_j1_rows``), the
+    changed rows after them.
     """
     ds, C = ctx.dataset, ctx.hyper.C
     n = ds.n_samples
@@ -220,20 +398,112 @@ def _adjoint_pi(ctx, pi_omega, j1, in_j2, base, rows):
     changed = None
     if base is not None:
         changed = np.flatnonzero(in_j2 != base.in_j2)
-        if changed.size > INCREMENTAL_MAX_SHARE * n or j1.size + changed.size > n:
+        if changed.size > INCREMENTAL_MAX_SHARE * n or j1.size + changed.size > rows.shape[0]:
             changed = None
+    y = ds.labels
+    aj = _j1_rows(ds, j1, rows, reuse)
+    k = j1.size
+    j1_part = aj.T @ (pi_omega[j1] * y[j1])
     if changed is None:
         At_pi = apply_A_adjoint(ds, pi_omega).ravel()
-        aj = _gather_signed(ds, j1, rows)
-        j1_part = aj.T @ pi_omega[j1]
         return At_pi, AdjointSplit((At_pi - j1_part) / C, in_j2, j1_part), aj
-    block = _gather_signed(ds, np.concatenate((j1, changed)), rows)
-    k = j1.size
-    aj = block[:k]
-    j1_part = aj.T @ pi_omega[j1]
-    g = base.g + block[k:].T @ np.where(in_j2[changed], 1.0, -1.0)
+    if changed.size:
+        if np.shares_memory(aj, rows[k : k + changed.size]):  # reused rows in the way
+            aj = _gather(ds, j1, rows)
+        crossed = _gather(ds, changed, rows[k:])
+        g = base.g + crossed.T @ np.where(in_j2[changed], y[changed], -y[changed])
+    else:
+        g = base.g
     drift = base.drift + C * float(np.sum(ds.row_norms[changed]))
     return j1_part + C * g, AdjointSplit(g, in_j2, j1_part, drift), aj
+
+
+def _screened_adjoint(ctx, screen, pi_omega, in_j1, in_j2, j1, rows, reuse):
+    """A* pi_omega at a screened state, its split and the J1 rows.
+
+    One product with R's rows gives the J1 part and R's share of g; the
+    left-out rows above C add ``screen.g_c``.
+    """
+    y = screen.labels
+    coef = np.empty((2, y.size))
+    np.multiply(pi_omega * in_j1, y, out=coef[0])
+    np.multiply(in_j2, y, out=coef[1])
+    j1_part, g_r = coef @ screen.block
+    g = screen.g_c + g_r
+    mask = screen.in_j2.copy()
+    mask[screen.idx] = in_j2
+    split = AdjointSplit(g, mask, j1_part, screen.drift)
+    aj = _j1_rows(ctx.dataset, j1, rows, reuse)
+    return j1_part + ctx.hyper.C * g, split, aj
+
+
+def _screen(ctx, state: SubproblemState, rho_W: float, rho_b: float, rows: np.ndarray) -> SubproblemState:
+    """``state``, on all rows, made the anchor of a working set R.
+
+    A row stays out of R when its omega lies more than
+    ``sigma (||vec X_i|| rho_W + rho_b)`` away from both kinks, plus the
+    roundoff of omega (that of a carried A W, see ``compute_state``).  R's
+    rows are gathered into the head of ``rows``; the state keeps its
+    gradient and is re-expressed on R, its phi in the form the screened
+    trials take.  ``state`` itself comes back when R would hold more than
+    ``SCREEN_MAX_SHARE`` of the rows.
+    """
+    ds, sigma, C = ctx.dataset, ctx.sigma, ctx.hyper.C
+    W, b, omega = state.W, state.b, state.omega
+    r, x = ds.row_norms, ds.feature_norms
+    roundoff = ROUNDOFF_FACTOR * _EPS
+    margin = sigma * (rho_W * x + (rho_b + roundoff * (_norm(W, b) + rho_W + rho_b + 1.0)) * r)
+    margin += roundoff * np.abs(ctx.lam_k)
+    above = omega > C + margin
+    out = above | (omega < -margin)
+    idx = np.flatnonzero(~out)
+    if idx.size > SCREEN_MAX_SHARE * ds.n_samples:
+        return state
+    block = _gather(ds, idx, rows)
+    labels = ds.labels[idx]
+    in_j2 = state.split.in_j2
+    in_r = in_j2[idx]
+    at_c = above.astype(np.float64)
+    left = out.astype(np.float64)
+    shifted = (ctx.lam_k + C * at_c) * left  # pi + lam_k on the left-out rows
+    slack = (omega - C * at_c) * left  # sigma v on the left-out rows
+    x_r = x[idx]
+    screen = Screen(
+        idx,
+        block,
+        labels,
+        ctx.lam_k[idx],
+        r[idx],
+        W=W,
+        b=b,
+        rho_W=rho_W,
+        rho_b=rho_b,
+        in_j2=in_j2,
+        n_c=int(np.count_nonzero(above)),
+        omega_c=float(omega @ at_c),
+        y_c=float(ds.labels @ at_c),
+        r_c=float(r @ at_c),
+        g_c=state.split.g - (labels * in_r) @ block,
+        drift=state.split.drift + C * float(r[idx] @ in_r),
+        n_out=ds.n_samples - idx.size,
+        dlam_sq=float(shifted @ shifted),
+        v_norm=float(np.sqrt(slack @ slack)) / sigma,
+        x_norm=float(np.sqrt(max(x @ x - x_r @ x_r, 0.0))),
+    )
+    omega = omega[idx]
+    phi, _ = _phi(ctx, screen, omega, W, b, state.nuc.svd if state.nuc is not None else None)
+    return replace(
+        state,
+        phi=phi,
+        phi_scale=state.phi_scale - abs(state.phi) + abs(phi),
+        omega=omega,
+        pi_omega=state.pi_omega[idx],
+        v=None,
+        lam_new=None,
+        AW=state.AW[idx],
+        screen=screen,
+        j1_rows=None,  # overwritten by R's rows
+    )
 
 
 def rebase(split: AdjointSplit, At_pi: np.ndarray, C: float) -> AdjointSplit:
@@ -255,6 +525,8 @@ def compute_state(
     svd: prox.MatrixSvd | None = None,
     base: AdjointSplit | None = None,
     rows: np.ndarray | None = None,
+    screen: Screen | None = None,
+    reuse: tuple | None = None,
 ) -> SubproblemState:
     """Evaluate phi, its gradient, and the recovered blocks at (W, b).
 
@@ -271,39 +543,47 @@ def compute_state(
     the J1 rows are gathered into it for the Newton step (``j1_rows``,
     valid until the next call with the buffer), and ``base``, the split of
     the state before, lets A* pi be updated instead of recomputed (see
-    ``_adjoint_pi``).
+    ``_adjoint_pi``).  ``reuse`` = (J1, j1_rows) of the state before keeps
+    those rows when J1 comes out the same.
+
+    ``screen`` (default: all rows) is the set of rows to evaluate: under
+    an anchor's working set R (see ``Screen``) ``AW`` is A W over R only,
+    the ``rows`` block holds R's rows first, and no other row is touched.
     """
     ds, sigma = ctx.dataset, ctx.sigma
     C = ctx.hyper.C
-    y = ds.labels
+    if screen is None:
+        screen = ctx.all_rows
     if AW is None:
         AW = apply_A(ds, W)
-    omega = -ctx.lam_k - sigma * (AW + b * y - 1.0)
+    omega = -screen.lam - sigma * (AW + b * screen.labels - 1.0)
     pi_omega = np.clip(omega, 0.0, C)
-    j1 = np.flatnonzero((omega > 0.0) & (omega < C))
+    in_j1 = (omega > 0.0) & (omega < C)
+    if screen.idx is None:
+        j1 = np.flatnonzero(in_j1)
+        At_pi, split, j1_rows = _adjoint_pi(ctx, pi_omega, j1, omega >= C, base, rows, reuse)
+    else:
+        j1 = screen.idx[in_j1]
+        At_pi, split, j1_rows = _screened_adjoint(
+            ctx, screen, pi_omega, in_j1, omega >= C, j1, rows[screen.size :], reuse
+        )
 
+    phi, svd = _phi(ctx, screen, omega, W, b, svd)
     dW = W if ctx.w_target is None else W - ctx.w_target
     db = b - ctx.b_center
     dW_sq = np.sum(dW * dW)
-    lam_sq = np.sum(ctx.lam_k * ctx.lam_k)
-    phi = (
-        0.5 * ctx.w_weight * dW_sq
-        + 0.5 * ctx.b_weight * db * db
-        + _phi_support_part(omega, C) / sigma
-        - 0.5 * lam_sq / sigma
-    )
-    At_pi, split, j1_rows = _adjoint_pi(ctx, pi_omega, j1, omega >= C, base, rows)
     grad_W = ctx.w_weight * dW - At_pi.reshape(W.shape)
-    grad_b = ctx.b_weight * db - float(y @ pi_omega)
+    grad_b = ctx.b_weight * db - (float(screen.labels @ pi_omega) + C * screen.y_c)
     rows_j1 = ds.row_norms[j1]
     grad_scale = (
         ctx.w_weight * np.sqrt(dW_sq)
         + abs(ctx.b_weight * db)
-        + ds.row_norms @ pi_omega
-        + sigma * np.sqrt(np.sum(W * W) + b * b) * (rows_j1 @ rows_j1)
+        + screen.row_norms @ pi_omega
+        + C * screen.r_c
+        + sigma * _norm(W, b) * (rows_j1 @ rows_j1)
         + (split.drift if split is not None else 0.0)
     )
-    phi_scale = 0.5 * ctx.w_weight * dW_sq + 0.5 * lam_sq / sigma
+    phi_scale = 0.5 * ctx.w_weight * dW_sq + 0.5 * ctx.lam_sq / sigma
 
     nuc = None
     alpha_size = 0
@@ -311,12 +591,9 @@ def compute_state(
         Xk = ctx.Lam_k + sigma * W
         nuc = prox.prox_nuclear(Xk, ctx.hyper.tau, svd=svd)
         proj = Xk - nuc.Y  # exact Moreau split of Xk
-        Lam_sq = np.sum(ctx.Lam_k * ctx.Lam_k)
-        phi += prox.env_nuclear(Xk, ctx.hyper.tau, svd=nuc.svd) / sigma
-        phi -= 0.5 * Lam_sq / sigma
         grad_W = grad_W + proj
         grad_scale += np.linalg.norm(Xk)
-        phi_scale += 0.5 * Lam_sq / sigma
+        phi_scale += 0.5 * ctx.Lam_sq / sigma
         U = nuc.Y / sigma
         Lam_new = proj
         alpha_size = nuc.k_bar
@@ -325,20 +602,22 @@ def compute_state(
         Lam_new = np.zeros_like(W)
 
     v = (omega - pi_omega) / sigma
-    lam_new = -pi_omega
-    grad_norm = float(np.sqrt(np.sum(grad_W * grad_W) + grad_b * grad_b))
+    shifted = pi_omega + screen.lam  # lam_k - lam_new
+    v_out = screen.v_out(W, b)
+    full = screen.idx is None
+    grad_norm = _norm(grad_W, grad_b)
     return SubproblemState(
         W=W,
         b=b,
-        phi=float(phi),
+        phi=phi,
         grad_W=grad_W,
         grad_b=float(grad_b),
         grad_norm=grad_norm,
         omega=omega,
         pi_omega=pi_omega,
-        v=v,
+        v=v if full else None,
         U=U,
-        lam_new=lam_new,
+        lam_new=-pi_omega if full else None,
         Lam_new=Lam_new,
         nuc=nuc,
         alpha_size=alpha_size,
@@ -346,6 +625,10 @@ def compute_state(
         phi_scale=float(abs(phi) + phi_scale),
         AW=AW,
         j1=j1,
+        screen=screen,
+        v_norm=float(np.sqrt(v @ v + v_out * v_out)),
+        lam_new_norm=float(np.sqrt(pi_omega @ pi_omega + screen.n_c * C * C)),
+        lam_step_norm=float(np.sqrt(shifted @ shifted + screen.dlam_sq)),
         split=split,
         j1_rows=j1_rows,
     )
@@ -366,12 +649,13 @@ class NewtonWorkspace:
     """Reduced Newton operator at one iterate.
 
     Holds the active index set J1 = {j : 0 < omega_j < C}, the gathered
-    signed sample rows, the spectral Jacobian, and the damping rho.  One
+    sample rows, the spectral Jacobian, and the damping rho.  One
     application of the operator never touches samples outside J1.
 
-    The signed rows, at up to n p q floats the largest block of a Newton
-    step, are the state's ``j1_rows`` when it has them (gathered into the
-    subproblem's row block); otherwise they are gathered here.
+    The rows, at up to n p q floats the largest block of a Newton step,
+    are the state's ``j1_rows`` when it has them (gathered into the
+    subproblem's row block); otherwise they are gathered here.  They are
+    unsigned: in A_J1* A_J1 and A_J1* y_J1 the labels y_j = +-1 cancel.
     """
 
     def __init__(self, ctx: SubproblemContext, state: SubproblemState, config: SncgConfig):
@@ -381,13 +665,12 @@ class NewtonWorkspace:
         self.a_b = ctx.b_weight
         self.shape = (ds.p, ds.q)
         self.j1 = state.j1
-        self.yj = ds.labels[self.j1]
         self.aj = state.j1_rows
         if self.aj is None:
-            self.aj = _gather_signed(ds, self.j1, np.empty((self.j1.size, ds.p * ds.q)))
+            self.aj = _gather(ds, self.j1, np.empty((self.j1.size, ds.p * ds.q)))
         self.rho = config.tau1 * min(config.tau2, state.grad_norm)
         self.denom = self.a_b + self.sigma * self.j1.size + self.rho
-        self.ajy = self.aj.T @ self.yj  # vec of A*_J1 y_J1
+        self.ajy = np.sum(self.aj, axis=0)  # vec of A*_J1 y_J1
         self.spectral = (
             prox.build_spectral_jacobian(None, ctx.hyper.tau, svd=state.nuc.svd)
             if state.nuc is not None
@@ -401,13 +684,13 @@ class NewtonWorkspace:
         if self.spectral is not None:
             d_mat = d_vec.reshape(self.shape)
             out = out + self.sigma * prox.apply_spectral_jacobian(self.spectral, d_mat).ravel()
-        z = self.aj @ d_vec
-        s = self.yj @ z
-        out = out + self.aj.T @ (self.sigma * z - (self.sigma**2 * s / self.denom) * self.yj)
+        z = self.aj @ d_vec  # y_J1 * (A_J1 d)
+        s = np.sum(z)  # y_J1' A_J1 d
+        out = out + self.aj.T @ (self.sigma * z - self.sigma**2 * s / self.denom)
         return out
 
     def recover_db(self, rhs2: float, d_vec: np.ndarray) -> float:
-        return (rhs2 - self.sigma * float(self.yj @ (self.aj @ d_vec))) / self.denom
+        return (rhs2 - self.sigma * float(np.sum(self.aj @ d_vec))) / self.denom
 
     def jacobi_diag(self) -> np.ndarray:
         """Diagonal model of the reduced operator for Jacobi preconditioning.
@@ -488,7 +771,7 @@ def newton_direction(
     rhs1 = -state.grad_W.ravel()
     rhs2 = -state.grad_b
     rhs = rhs1 - (workspace.sigma * rhs2 / workspace.denom) * workspace.ajy
-    max_iter = cg_max_iter if cg_max_iter is not None else 300
+    max_iter = cg_max_iter if cg_max_iter is not None else SncgConfig.cg_max_iter
     d_vec, iters, resid, ok = cg(
         workspace.apply, rhs, tol, max_iter, precond_diag=workspace.precond
     )
@@ -498,35 +781,13 @@ def newton_direction(
     return d_vec.reshape(workspace.shape), d_b, iters, resid
 
 
-def _phi_along(
-    ctx: SubproblemContext,
-    state: SubproblemState,
-    d_W: np.ndarray,
-    d_b: float,
-    Ad: np.ndarray,
-    alpha: float,
-) -> tuple[float, prox.MatrixSvd | None]:
-    """phi at (W + alpha d_W, b + alpha d_b) reusing the cached A W, and
-    the SVD of ``Lam_k + sigma W`` there (None without the nuclear block)."""
-    sigma = ctx.sigma
-    C = ctx.hyper.C
-    omega = state.omega - alpha * sigma * (Ad + d_b * ctx.dataset.labels)
-    W_t = state.W + alpha * d_W
-    dW = W_t if ctx.w_target is None else W_t - ctx.w_target
-    db = state.b + alpha * d_b - ctx.b_center
-    phi = (
-        0.5 * ctx.w_weight * np.sum(dW * dW)
-        + 0.5 * ctx.b_weight * db * db
-        + _phi_support_part(omega, C) / sigma
-        - 0.5 * np.sum(ctx.lam_k * ctx.lam_k) / sigma
-    )
-    svd = None
-    if ctx.include_nuclear:
-        Xk = ctx.Lam_k + sigma * W_t
-        svd = prox.full_svd(Xk)
-        phi += prox.env_nuclear(Xk, ctx.hyper.tau, svd=svd) / sigma
-        phi -= 0.5 * np.sum(ctx.Lam_k * ctx.Lam_k) / sigma
-    return float(phi), svd
+def _descent(state: SubproblemState, d_W: np.ndarray, d_b: float):
+    """(d_W, d_b, g'd): the direction, or steepest descent when it fails a
+    strict descent test (possible in finite precision)."""
+    g_dot_d = float(np.sum(state.grad_W * d_W) + state.grad_b * d_b)
+    if g_dot_d >= -1e-12 * state.grad_norm * _norm(d_W, d_b):
+        return -state.grad_W, -state.grad_b, -state.grad_norm**2
+    return d_W, d_b, g_dot_d
 
 
 def line_search(
@@ -545,25 +806,29 @@ def line_search(
     descent test (possible in finite precision).  A full step whose change
     in phi is within roundoff of ``state.phi_scale`` is accepted: Armijo
     cannot tell such a step from a flat one.  Returns
-    (alpha, evaluations, direction actually used, stalled flag).  On an
-    accepted step, ``products`` (if given) receives ``"Ad"``, A d_W of the
-    direction used, and ``"svd"``, the SVD of ``Lam_k + sigma W`` at the
-    new iterate, for the next ``compute_state``.
+    (alpha, evaluations, direction actually used, stalled flag).
+
+    The trials run over the rows of ``state.screen``, which must hold the
+    whole segment (``Screen.fits``); on all rows, A d is one full pass.  On
+    an accepted step, ``products`` (if given) receives ``"Ad"``, A d_W of
+    the direction used over those rows, and ``"svd"``, the SVD of
+    ``Lam_k + sigma W`` at the new iterate, for the next ``compute_state``.
     """
     if state is None:
         state = compute_state(ctx, W, b)
-    g_dot_d = float(np.sum(state.grad_W * d_W) + state.grad_b * d_b)
-    dir_norm = float(np.sqrt(np.sum(d_W * d_W) + d_b * d_b))
-    if g_dot_d >= -1e-12 * state.grad_norm * dir_norm:
-        d_W = -state.grad_W
-        d_b = -state.grad_b
-        g_dot_d = -state.grad_norm**2
-    Ad = apply_A(ctx.dataset, d_W)
+    d_W, d_b, g_dot_d = _descent(state, d_W, d_b)
+    screen = state.screen
+    if not screen.fits(W, b, d_W, d_b):
+        raise ValueError("the step leaves the ball its state's screen holds for")
+    Ad = screen.apply(ctx.dataset, d_W)
+    slope = ctx.sigma * (Ad + d_b * screen.labels)  # -d omega / d alpha
     flat = ROUNDOFF_FACTOR * _EPS * state.phi_scale
     alpha = 1.0
     evals = 0
     while evals < config.ls_max_backtracks:
-        trial, svd = _phi_along(ctx, state, d_W, d_b, Ad, alpha)
+        trial, svd = _phi(
+            ctx, screen, state.omega - alpha * slope, W + alpha * d_W, b + alpha * d_b
+        )
         evals += 1
         if trial <= state.phi + config.mu * alpha * g_dot_d or (
             evals == 1 and abs(trial - state.phi) <= flat
@@ -603,6 +868,7 @@ class SubproblemResult:
     stop_reason: str
     state: SubproblemState
     stats: SubproblemStats
+    fresh_AW: bool = False  # state.AW is apply_A of W to the bit
 
 
 def solve_subproblem(
@@ -625,11 +891,15 @@ def solve_subproblem(
     out (see the module docstring).  The slack blocks and the tentative
     multipliers are recovered from the final state's proximal splits.
 
-    ``AW0``, if given, is A W0; each step then carries A W forward as
-    ``A W + alpha A d``.  A* pi is updated over the rows that crossed C
-    from state to state (see ``compute_state``).  It starts from ``base``,
-    the split of an earlier subproblem's state on the same data and C,
-    best ``rebase``d on a fresh pass; without it the first state makes one.
+    ``AW0``, if given, is A W0; A* pi starts from ``base``, the split of an
+    earlier subproblem's state on the same data and C, best ``rebase``d on
+    a fresh pass; without them the first state makes its own passes.  The
+    steps carry A W forward as ``A W + alpha A d`` and update A* pi over
+    the rows that crossed C; a step that stays within its anchor's ball
+    touches only the anchor's working set R (see the module docstring).
+    The returned state is on all rows: a last state on R is evaluated
+    once more at a fresh A W, and ``fresh_AW`` then says that
+    ``state.AW`` is ``apply_A`` of the returned W to the bit.
     """
     if config is None:
         config = SncgConfig()
@@ -666,6 +936,14 @@ def solve_subproblem(
             ctx, W, b, ws, tol_cg, state=state, cg_max_iter=config.cg_max_iter
         )
         stats.cg_iters.append(cg_it)
+        d_W, d_b, _ = _descent(state, d_W, d_b)
+        if not state.screen.fits(W, b, d_W, d_b):
+            # the trials may leave the anchor's ball: back to all rows
+            state = _on_all_rows(ctx, state, rows)
+        if state.screen.idx is None:
+            state = _screen(
+                ctx, state, SCREEN_RADIUS * np.linalg.norm(d_W), SCREEN_RADIUS * abs(d_b), rows
+            )
         step = {}
         alpha, _, d_W, d_b, stalled = line_search(
             ctx, W, b, d_W, d_b, config, state=state, products=step
@@ -679,8 +957,14 @@ def solve_subproblem(
         AW = step["Ad"]  # A W + alpha A d, formed in the block of A d
         AW *= alpha
         AW += state.AW
-        state = compute_state(ctx, W, b, AW=AW, svd=step["svd"], base=state.split, rows=rows)
+        state = compute_state(
+            ctx, W, b, AW=AW, svd=step["svd"], base=state.split, rows=rows,
+            screen=state.screen, reuse=(state.j1, state.j1_rows),
+        )
         iterations = i + 1
+    fresh = state.screen.idx is not None
+    if fresh:  # the result is exact on all rows
+        state = _on_all_rows(ctx, state, rows)
     state.j1_rows = None  # lets the row block go
     return SubproblemResult(
         W=W,
@@ -694,4 +978,14 @@ def solve_subproblem(
         stop_reason=reason,
         state=state,
         stats=stats,
+        fresh_AW=fresh,
+    )
+
+
+def _on_all_rows(ctx, state, rows) -> SubproblemState:
+    """``state`` evaluated again on all rows, at a fresh A W."""
+    svd = state.nuc.svd if state.nuc is not None else None
+    return compute_state(
+        ctx, state.W, state.b, svd=svd, base=state.split, rows=rows,
+        reuse=(state.j1, state.j1_rows),
     )

@@ -1,4 +1,6 @@
 import os
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +114,33 @@ class TestDatasetIO:
                 fh.write(raw[:cut])
             with pytest.raises(sdata.FormatError, match="byte offset"):
                 sdata.load_dataset(trunc)
+
+    @pytest.mark.parametrize("n", [10**12, 3 * 10**8])
+    def test_oversized_header_rejected_before_any_read(self, tmp_path, n):
+        # 96 bytes: magic, a header declaring n samples of 1x1 matrices, and
+        # 64 bytes of body; the label block alone would need 8 n bytes
+        path = str(tmp_path / "huge.bin")
+        with open(path, "wb") as fh:
+            fh.write(b"SMMDATA1" + struct.pack("<QQQ", n, 1, 1) + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(sdata.FormatError, match="label block") as err:
+                sdata.load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.offset == 96
+        assert peak < 1 << 20
+
+    def test_feature_block_checked_against_file_size(self, tmp_path):
+        # labels present, features declared far beyond the end of the file
+        path = str(tmp_path / "wide.bin")
+        labels = np.array([1.0, -1.0])
+        with open(path, "wb") as fh:
+            fh.write(b"SMMDATA1" + struct.pack("<QQQ", 2, 10**4, 10**4) + labels.tobytes())
+        with pytest.raises(sdata.FormatError, match="feature block") as err:
+            sdata.load_dataset(path)
+        assert err.value.offset == 48
 
     def test_bad_label_rejected(self, tmp_path):
         path = str(tmp_path / "bad.csv")

@@ -80,6 +80,17 @@ class TestRowNorms:
         assert ds.row_norms is ds.row_norms  # cached
         assert not ds.row_norms.flags.writeable
 
+    def test_feature_norms(self):
+        rng = np.random.default_rng(4)
+        ds = random_dataset(rng, 12, 3, 4)
+        expected = np.sqrt(np.sum(ds.features**2, axis=(1, 2)))
+        np.testing.assert_allclose(ds.feature_norms, expected, rtol=1e-15)
+        assert ds.feature_norms is ds.feature_norms
+        assert not ds.feature_norms.flags.writeable
+        # tiny features keep their own size, not a rounded-off sqrt(r^2 - 1)
+        small = Dataset(ds.features * 1e-9, ds.labels)
+        np.testing.assert_allclose(small.feature_norms, 1e-9 * expected, rtol=1e-14)
+
 
 class TestApplyA:
     def test_single_sample_inner_product(self):

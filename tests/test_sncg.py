@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from smmsolve import prox, sncg
+from smmsolve import alm, prox, sncg
 from smmsolve.problem import Dataset, Hyperparams, apply_A, apply_A_adjoint
 
 from conftest import random_dataset
@@ -580,3 +580,176 @@ class TestIncrementalProducts:
         reused = sncg.compute_state(ctx, W_new, 0.2 + alpha * d_b, svd=step["svd"])
         assert reused.phi == direct.phi
         np.testing.assert_array_equal(reused.grad_W, direct.grad_W)
+
+
+def solved_context(train, tau, scale=1.0):
+    """The last subproblem of an ALM solve to 1e-8 on ``train`` (features
+    times ``scale``), and the solution: a state with few rows near a kink."""
+    ds = Dataset(train.features * scale, train.labels)
+    hyper = Hyperparams(C=1.0, tau=tau)
+    sol = alm.solve(ds, hyper, alm.AlmConfig(kkt_tol=1e-8))
+    ctx = sncg.SubproblemContext(
+        dataset=ds, hyper=hyper, sigma=sol.report.history[-1]["sigma"],
+        lam_k=sol.dual.lam, Lam_k=sol.dual.Lam if tau > 0 else None,
+    )
+    return ctx, sol.primal.W, sol.primal.b
+
+
+def full_pi(state):
+    """pi_omega of a screened state on all rows: R's from the state, C or 0
+    on the rows left out (which of the two, the anchor's mask says)."""
+    pi = state.screen.in_j2 * 1.0
+    pi[state.screen.idx] = state.pi_omega
+    return pi
+
+
+class TestScreenedSteps:
+    """Newton steps over an anchor's working set R (own generators, so the
+    shared rng stream of the other tests is left alone)."""
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 10.0])
+    def test_screened_state_matches_a_full_recompute(self, small_synth, tau):
+        ctx, W, b = solved_context(small_synth[0], tau)
+        ds, C = ctx.dataset, ctx.hyper.C
+        rows = np.empty(ds.flat_features.shape)
+        anchor = sncg.compute_state(ctx, W, b, rows=rows)
+        rng = np.random.default_rng(21)
+        d_W, d_b = rng.standard_normal(W.shape), float(rng.standard_normal())
+        unit = np.sqrt(np.sum(d_W * d_W) + d_b * d_b)
+        rho = 1e-3 * (1.0 + np.linalg.norm(W))
+        screened = sncg._screen(ctx, anchor, rho, rho, rows)
+        idx = screened.screen.idx
+        assert idx is not None and 0 < idx.size < ds.n_samples
+        assert np.array_equal(full_pi(screened), anchor.pi_omega)
+        for t in (0.0, 0.5, 1.0):
+            W1 = W + (t * rho / unit) * d_W
+            b1 = b + (t * rho / unit) * d_b
+            st = sncg.compute_state(
+                ctx, W1, b1, AW=apply_A(ds, W1)[idx], base=screened.split, rows=rows,
+                screen=screened.screen,
+            )
+            full = sncg.compute_state(ctx, W1, b1)
+            assert st.v is None and st.lam_new is None
+            # pieces of the hinge: exact
+            assert np.array_equal(st.j1, full.j1)
+            assert np.array_equal(full_pi(st), full.pi_omega)
+            # values: within roundoff
+            eps = sncg.ROUNDOFF_FACTOR * np.finfo(np.float64).eps
+            assert abs(st.phi - full.phi) <= eps * full.phi_scale
+            g_err = np.sqrt(np.sum((st.grad_W - full.grad_W) ** 2) + (st.grad_b - full.grad_b) ** 2)
+            assert g_err <= eps * st.grad_scale
+            assert st.grad_scale == pytest.approx(full.grad_scale + st.split.drift, rel=1e-9)
+            # the norms the ALM criterion reads; ||v|| only bounded above
+            assert st.lam_new_norm == pytest.approx(np.linalg.norm(full.lam_new), rel=1e-12)
+            assert st.lam_step_norm == pytest.approx(
+                np.linalg.norm(full.lam_new - ctx.lam_k), rel=1e-12
+            )
+            assert st.v_norm >= np.linalg.norm(full.v) * (1.0 - 1e-12)
+        # the bound on ||v|| is tight to first order in rho
+        scr = screened.screen
+        slack = 2.0 * rho * (scr.x_norm + np.sqrt(scr.n_out))
+        assert st.v_norm <= np.linalg.norm(full.v) + slack
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 10.0])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_no_row_left_out_changes_piece(self, small_synth, monkeypatch, scale, tau):
+        # every screened state of a solve against a full recompute there
+        train, _, _ = small_synth
+        ds = Dataset(train.features * scale, train.labels)
+        hyper = Hyperparams(C=1.0, tau=tau)
+        original = sncg.compute_state
+        seen = {"screened": 0}
+
+        def checked(ctx, W, b, *args, **kwargs):
+            st = original(ctx, W, b, *args, **kwargs)
+            if st.screen.idx is not None:
+                idx = st.screen.idx
+                out = np.ones(ds.n_samples, dtype=bool)
+                out[idx] = False
+                full = original(ctx, W, b)
+                assert np.array_equal(full_pi(st)[out], full.pi_omega[out])
+                # A W carried over R stays within roundoff of a fresh one
+                size = ds.row_norms[idx] * np.sqrt(np.sum(W * W) + b * b)
+                drift = np.abs(st.AW - full.AW[idx])
+                assert np.all(drift <= sncg.ROUNDOFF_FACTOR * np.finfo(np.float64).eps * size)
+                seen["screened"] += 1
+            return st
+
+        monkeypatch.setattr(sncg, "compute_state", checked)
+        # working sets up to the largest share the row block allows, so
+        # that more and wider balls are checked
+        monkeypatch.setattr(sncg, "SCREEN_MAX_SHARE", 0.5)
+        sol = alm.solve(ds, hyper, alm.AlmConfig(kkt_tol=1e-8))
+        assert sol.report.converged and sol.report.eta_kkt <= 1e-8
+        # at features x 1e-3 and tau > 0 the solution has W = 0 and half the
+        # rows in J1, so no working set is small enough
+        if sol.report.j1_size <= sncg.SCREEN_MAX_SHARE * ds.n_samples:
+            assert seen["screened"] > 0
+
+    def test_screened_steps_make_no_full_pass(self, small_synth, monkeypatch):
+        ctx, W, b = solved_context(small_synth[0], 1.0)
+        ds = ctx.dataset
+        # one ALM step further: the next subproblem from the solution
+        rng = np.random.default_rng(22)
+        W0 = W + 1e-3 * rng.standard_normal(W.shape)
+        ctx.sigma *= 2.0
+        calls = TestIncrementalProducts.count_passes(monkeypatch)
+        res = sncg.solve_subproblem(ctx, W0, b, never_stop, AW0=apply_A(ds, W0))
+        assert res.converged and res.iterations >= 3
+        # the first step runs on all rows; the screened ones make no pass,
+        # and the returned state costs one fresh A W
+        assert res.fresh_AW
+        assert calls["A"] < res.iterations
+        np.testing.assert_array_equal(res.state.AW, apply_A(ds, res.W))
+        assert res.state.screen.idx is None and res.state.v is not None
+
+    def test_screened_line_search_hands_back_its_products(self, small_synth):
+        ctx, W, b = solved_context(small_synth[0], 1.0)
+        rows = np.empty(ctx.dataset.flat_features.shape)
+        rng = np.random.default_rng(23)
+        W = W + 1e-3 * rng.standard_normal(W.shape)  # off the minimizer
+        anchor = sncg.compute_state(ctx, W, b, rows=rows)
+        t = 1e-4 / anchor.grad_norm
+        d_W, d_b = -t * anchor.grad_W, -t * anchor.grad_b
+        state = sncg._screen(ctx, anchor, 2.0 * np.linalg.norm(d_W), 2.0 * abs(d_b), rows)
+        idx = state.screen.idx
+        assert idx is not None
+        step = {}
+        alpha, _, d_used, db_used, stalled = sncg.line_search(
+            ctx, W, b, d_W, d_b, sncg.SncgConfig(), state=state, products=step
+        )
+        assert not stalled and db_used == d_b
+        expected = apply_A(ctx.dataset, d_used)[idx]
+        np.testing.assert_allclose(step["Ad"], expected, rtol=1e-12, atol=1e-15 * np.abs(expected).max())
+        # a step longer than the ball is refused
+        with pytest.raises(ValueError, match="ball"):
+            sncg.line_search(ctx, W, b, 3.0 * d_W, 3.0 * d_b, sncg.SncgConfig(), state=state)
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("cg_max_iter", 0), ("ls_max_backtracks", 0), ("max_newton_iter", -1)],
+    )
+    def test_budgets_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            sncg.SncgConfig(**{field: value})
+
+    def test_zero_newton_steps_allowed(self):
+        assert sncg.SncgConfig(max_newton_iter=0).max_newton_iter == 0
+
+    def test_newton_direction_defaults_to_the_config_budget(self, monkeypatch):
+        ctx = make_context(np.random.default_rng(24), n=12, p=3, q=3)
+        state = sncg.compute_state(ctx, np.zeros((3, 3)), 0.0)
+        ws = sncg.NewtonWorkspace(ctx, state, sncg.SncgConfig())
+        budgets = []
+        original = sncg.cg
+
+        def spy(apply_op, rhs, tol, max_iter, **kwargs):
+            budgets.append(max_iter)
+            return original(apply_op, rhs, tol, max_iter, **kwargs)
+
+        monkeypatch.setattr(sncg, "cg", spy)
+        monkeypatch.setattr(sncg.SncgConfig, "cg_max_iter", 7)
+        sncg.newton_direction(ctx, np.zeros((3, 3)), 0.0, ws, 1e-10, state=state)
+        assert budgets == [7]
