@@ -284,7 +284,8 @@ class AdjointSplit:
 
     ``g`` is vec of sum_{omega_i >= C} y_i X_i over the rows in ``in_j2``,
     ``j1_part`` vec of A*_J1 pi_J1, and ``drift`` = C sum_i r_i over the
-    rows g was updated on since it was last taken from a full pass.
+    rows added to or taken from g since it was last taken from a full
+    pass.
     """
 
     g: np.ndarray
@@ -845,7 +846,6 @@ def line_search(
 class SubproblemStats:
     grad_norms: list = field(default_factory=list)
     phi_values: list = field(default_factory=list)
-    j1_sizes: list = field(default_factory=list)
     alpha_sizes: list = field(default_factory=list)
     cg_iters: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
@@ -930,7 +930,6 @@ def solve_subproblem(
         if i == config.max_newton_iter:
             break
         ws = NewtonWorkspace(ctx, state, config)
-        stats.j1_sizes.append(ws.j1.size)
         tol_cg = min(config.eta_bar, state.grad_norm ** (1.0 + config.varrho))
         d_W, d_b, cg_it, _ = newton_direction(
             ctx, W, b, ws, tol_cg, state=state, cg_max_iter=config.cg_max_iter
