@@ -178,6 +178,12 @@ class Dataset:
         norms.setflags(write=False)
         return norms
 
+    @cached_property
+    def mean_sq_feature_norm(self) -> float:
+        """Mean of ``||vec X_i||**2`` over the samples, from the squared
+        norms behind ``row_norms``; cached."""
+        return float(np.mean(self._squared_norms))
+
     def subset(self, indices) -> "Dataset":
         """Dataset restricted to ``indices`` (gather, O(|I| p q))."""
         indices = _check_indices(indices, self.n_samples)

@@ -90,8 +90,10 @@ def initial_active_set(dataset: Dataset, W: np.ndarray, b: float, eps_hat: float
     return np.flatnonzero(margins <= 1.0 + eps_hat)
 
 
-def _reduced_alm_config(config: PathConfig) -> alm.AlmConfig:
-    return replace(config.alm_config, kkt_tol=config.eps, stop_mode="raw")
+def _raw_config(alm_config: alm.AlmConfig | None, eps: float) -> alm.AlmConfig:
+    """``alm_config`` run to raw residuals <= eps."""
+    cfg = alm_config if alm_config is not None else alm.AlmConfig()
+    return replace(cfg, kkt_tol=eps, stop_mode="raw")
 
 
 def solve_reduced(
@@ -113,8 +115,7 @@ def solve_reduced(
     if indices.size == 0:
         raise ValueError("reduced index set must be nonempty")
     sub = dataset.subset(indices)
-    cfg = alm_config if alm_config is not None else alm.AlmConfig()
-    cfg = replace(cfg, kkt_tol=eps, stop_mode="raw")
+    cfg = _raw_config(alm_config, eps)
     sol = alm.solve(sub, Hyperparams(C=C, tau=tau), cfg, init=warm)
     if not sol.report.converged:
         raise SievingError(
@@ -177,13 +178,13 @@ def solve_path(
     termination and raises.
     """
     n = dataset.n_samples
-    cfg = _reduced_alm_config(config)
     if init_model is not None:
         W0, b0 = init_model
         prev_active = initial_active_set(dataset, np.asarray(W0, float), float(b0), config.eps_hat)
         warm_full = None
     else:
         c0 = config.c0 if config.c0 is not None else config.grid[0]
+        cfg = _raw_config(config.alm_config, config.eps)
         base = alm.solve(dataset, Hyperparams(C=c0, tau=config.tau), cfg)
         if not base.report.converged:
             raise SievingError(f"initial solve at C0={c0} did not converge")
@@ -207,7 +208,8 @@ def solve_path(
                 raise SievingError("sieving exceeded n rounds; finite termination violated")
             sizes.append(int(active.size))
             reduced, _ = solve_reduced(
-                dataset, active, C, config.tau, config.eps, warm=warm, alm_config=cfg
+                dataset, active, C, config.tau, config.eps, warm=warm,
+                alm_config=config.alm_config,
             )
             violated, v_full, lam_full = violation_set(dataset, active, reduced, C)
             if violated.size == 0:

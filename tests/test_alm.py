@@ -76,6 +76,92 @@ class TestSigmaUpdate:
         cfg = alm.AlmConfig()
         assert alm.sigma_update(3.0, cfg, feas_prev=None, feas_new=1.0) == 3.0
 
+    def test_growth_never_lowers_sigma(self):
+        cfg = alm.AlmConfig()
+        assert alm.sigma_update(2e6, cfg, feas_prev=1.0, feas_new=0.9) == 2e6
+        assert alm.sigma_update(1e6, cfg, feas_prev=1.0, feas_new=0.9) == 1e6
+
+    def test_retry_at_the_cap_keeps_sigma(self, small_synth):
+        # a two-step Newton budget makes subproblems fail and get retried
+        train, _, _ = small_synth
+        cfg = alm.AlmConfig(
+            kkt_tol=1e-3, sigma0=50.0, sigma_max=50.0, retry_limit=2,
+            sncg=sncg.SncgConfig(max_newton_iter=2),
+        )
+        rep = alm.solve(train, Hyperparams(C=1.0, tau=1.0), cfg).report
+        assert any(f.startswith("subproblem-retry@") for f in rep.flags)
+        assert [row["sigma"] for row in rep.history] == [50.0] * rep.n_outer
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sigma0": 0.0},
+            {"sigma0": -1.0},
+            {"sigma_max": 0.0},
+            {"sigma_max": -1.0},
+            {"sigma0": 2e6},
+            {"sigma0": 20.0, "sigma_max": 10.0},
+        ],
+    )
+    def test_bad_penalty_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="sigma"):
+            alm.AlmConfig(**kwargs)
+
+    def test_penalty_at_the_cap_accepted(self):
+        assert alm.AlmConfig(sigma0=10.0, sigma_max=10.0).sigma0 == 10.0
+
+
+class TestInitialPenalty:
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    @pytest.mark.parametrize("C", [0.05, 1.0])
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 10.0])
+    def test_resolved_sigma0_follows_the_rule(self, small_synth, scale, C, tau):
+        train, _, _ = small_synth
+        ds = Dataset(train.features * scale, train.labels)
+        cfg = alm.AlmConfig()
+        m = np.mean(np.sum(ds.flat_features**2, axis=1))
+        data_rule = 1.0 / m if tau == 0 else min(1.0 / m, alm.NUCLEAR_SIGMA0_CAP)
+        fixed_rule = min(10.0, max(1.0, 1.0 / C))
+        expected = min(cfg.sigma_max, max(fixed_rule, data_rule))
+        got = cfg.resolve_sigma0(ds, Hyperparams(C=C, tau=tau))
+        assert got == pytest.approx(expected, rel=1e-12)
+        if scale == 1e-3:  # 1/m is about 6.2e6
+            assert got == (cfg.sigma_max if tau == 0 else alm.NUCLEAR_SIGMA0_CAP)
+        if scale == 10.0:  # 1/m is about 0.06
+            assert got == fixed_rule
+
+    def test_zero_features_keep_the_fixed_rule(self):
+        ds = Dataset(np.zeros((4, 2, 3)), np.array([1.0, -1.0, 1.0, -1.0]))
+        assert alm.AlmConfig().resolve_sigma0(ds, Hyperparams(C=0.5, tau=1.0)) == 2.0
+
+    def test_explicit_sigma0_wins(self, small_synth):
+        train, _, _ = small_synth
+        cfg = alm.AlmConfig(sigma0=3.0)
+        assert cfg.resolve_sigma0(train, Hyperparams(C=1.0, tau=1.0)) == 3.0
+        rep = alm.solve(train, Hyperparams(C=1.0, tau=1.0), cfg).report
+        assert rep.history[0]["sigma"] == 3.0
+        assert rep.config["sigma0_resolved"] == 3.0
+
+    def test_echo_is_the_first_attempts_sigma(self, small_synth):
+        train, _, _ = small_synth
+        hyper = Hyperparams(C=1.0, tau=1.0)
+        rep = alm.solve(train, hyper, alm.AlmConfig()).report
+        assert rep.config["sigma0_resolved"] == rep.history[0]["sigma"]
+        assert rep.history[0]["sigma"] == alm.AlmConfig().resolve_sigma0(train, hyper) > 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fewer_outer_iterations_than_the_fixed_start(self, seed):
+        # README family, n = 2000 training rows; 1/m is about 6.3 there
+        train, _, _ = sdata.gen_synthetic(sdata.SynthSpec(n=2500, p=20, q=20, r=5, seed=seed))
+        hyper = Hyperparams(C=1.0, tau=10.0)
+        data_rule = alm.solve(train, hyper, alm.AlmConfig(kkt_tol=1e-6)).report
+        fixed = alm.solve(train, hyper, alm.AlmConfig(kkt_tol=1e-6, sigma0=1.0)).report
+        assert data_rule.converged and fixed.converged
+        assert data_rule.history[0]["sigma"] > 6.0
+        assert data_rule.n_outer < fixed.n_outer
+
 
 class TestMultiplierUpdate:
     def test_update_equals_projected_omega(self, rng):

@@ -58,6 +58,21 @@ class TestTrain:
         assert rep["eta_kkt"] <= 1e-6
         assert rep["converged"] is True
 
+    def test_report_echoes_the_sigma0_it_ran(self, ws):
+        root, train, _ = ws
+        report = str(root / "r_sigma.json")
+        rc = cli.main(
+            ["train", "--data", train, "--C", "1", "--tau", "1", "--solver", "alm",
+             "--tol", "1e-6", "--report", report]
+        )
+        assert rc == cli.EXIT_OK
+        rep = json.load(open(report))
+        ds = sdata.load_dataset(train)
+        assert rep["config"]["sigma0_resolved"] == rep["trace"][0]["sigma"]
+        assert rep["trace"][0]["sigma"] == alm.AlmConfig().resolve_sigma0(
+            ds, Hyperparams(C=1.0, tau=1.0)
+        )
+
     def test_report_self_contained(self, ws):
         # recompute the KKT residual from the serialized artifacts
         root, train, _ = ws
