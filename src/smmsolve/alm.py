@@ -12,6 +12,7 @@ penalty is escalated and the step retried only on a real failure (see
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -218,21 +219,18 @@ def _criterion_closure(config: AlmConfig, ctx: sncg.SubproblemContext, z_Lam, ep
         gn = state.grad_norm
         if gn == 0.0:
             return True, "zero-gradient"
-        x_norm = np.sqrt(
-            np.sum(state.W * state.W)
-            + state.b**2
-            + state.v_norm**2
-            + np.sum(state.U * state.U)
-        )
+        # dot products: the np.sum/np.linalg.norm wrappers cost more at these sizes
+        w_sq = float(np.vdot(state.W, state.W))
+        x_norm = math.sqrt(w_sq + state.b**2 + state.v_norm**2 + np.vdot(state.U, state.U))
         d_Lam = state.Lam_new - z_Lam
-        z_norm = np.sqrt(state.lam_new_norm**2 + np.sum(state.Lam_new**2))
-        dz = np.sqrt(state.lam_step_norm**2 + np.sum(d_Lam * d_Lam))
+        z_norm = math.sqrt(state.lam_new_norm**2 + np.vdot(state.Lam_new, state.Lam_new))
+        dz = math.sqrt(state.lam_step_norm**2 + np.vdot(d_Lam, d_Lam))
         data = CriterionData(
             grad_norm=gn,
-            x_norm=float(x_norm),
-            z_norm=float(z_norm),
-            w_norm=float(np.linalg.norm(state.W)),
-            dz_norm=float(dz),
+            x_norm=x_norm,
+            z_norm=z_norm,
+            w_norm=math.sqrt(w_sq),
+            dz_norm=dz,
         )
         ok_a = criterion_A(data, eps_k, sigma)
         # With no multiplier movement rule B degenerates to grad == 0, so

@@ -1,11 +1,15 @@
 """Proximal maps, projections, Moreau envelopes, and generalized-Jacobian
 actions for the box ``[0, C]^n`` and the spectral-norm ball / nuclear norm.
 
-The spectral pieces share one full SVD.  ``SpectralJacobian`` stores a
-selected element of the Clarke Jacobian of the spectral-ball projection in
-factored form; its action can be applied either densely or through a fast
-path whose cost scales with the number of singular values above the
-threshold rather than with the full matrix dimensions.
+The spectral pieces share one full SVD; the nuclear envelope alone needs
+only the singular values, and none inside the Frobenius ball of radius
+tau.  ``SpectralJacobian`` stores a selected element of the Clarke
+Jacobian of the spectral-ball projection in factored form.  Its fast
+action touches only the k1 singular values above the threshold: the
+combined weights of the alpha rows and the contiguous factor blocks are
+formed once per Jacobian, so one action on an m x k direction (m <= k)
+costs O(k1 m (m + k)) flops in a dozen array operations.  A dense action
+through the full scaling matrices serves as the oracle.
 """
 
 from __future__ import annotations
@@ -133,13 +137,24 @@ def project_spectral_ball(X: np.ndarray, tau: float, svd: MatrixSvd | None = Non
 
 
 def env_nuclear(X: np.ndarray, tau: float, svd: MatrixSvd | None = None) -> float:
-    """Moreau envelope of ``tau * ||.||_*`` at X."""
+    """Moreau envelope of ``tau * ||.||_*`` at X.
+
+    Without ``svd`` only the singular values are computed, and none when
+    ``||X||_F <= tau``: every singular value is then at most tau, and the
+    envelope is ``||X||_F^2 / 2``.
+    """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    if svd is None:
-        svd = full_svd(X)
-    s = svd.s
-    return float(tau * np.sum(np.maximum(s - tau, 0.0)) + 0.5 * np.sum(np.minimum(s, tau) ** 2))
+    if svd is not None:
+        s = svd.s
+    else:
+        x = np.asarray(X, dtype=np.float64).ravel()
+        sq = float(x @ x)
+        if sq <= tau * tau:
+            return 0.5 * sq
+        s = np.linalg.svd(np.reshape(x, np.shape(X)), compute_uv=False)
+    low = np.minimum(s, tau)
+    return float(tau * (s - low).sum() + 0.5 * (low @ low))
 
 
 def jac_box_diag(omega: np.ndarray, C: float) -> np.ndarray:
@@ -164,6 +179,13 @@ class SpectralJacobian:
     implicit trailing block of size ``k - m``.  The scaling blocks are kept
     only where they are nonzero, which is what makes the fast action cheap
     when ``k1`` is small.
+
+    For the fast action the blocks are also combined, once, into weights
+    on the alpha rows of H = U' D V1 and of its transpose: with xi1, xi2
+    the symmetric scalings, P = (xi1 + xi2)/2 and Q = (xi1 - xi2)/2 on the
+    (k1, m) block (``p_row`` holds P less the trailing scaling xi3, see
+    ``_apply_fast``; ``p_beta``, ``q_beta`` their beta columns).  The factor
+    blocks it multiplies by are stored contiguous.
     """
 
     shape: tuple[int, int]  # original orientation
@@ -179,6 +201,15 @@ class SpectralJacobian:
     xi2_ab: np.ndarray | None = None  # (k1, m - k1), columns beta1 then beta2
     xi1_ab2: np.ndarray | None = None  # (k1, m - k2)
     xi3_d: np.ndarray | None = None  # (k1,)
+    Ua_t: np.ndarray | None = None  # (k1, m), U_alpha'
+    U_beta: np.ndarray | None = None  # (m, m - k1)
+    V1_t: np.ndarray | None = None  # (m, k), V1'
+    Va_t: np.ndarray | None = None  # (k1, k), V_alpha'
+    p_row: np.ndarray | None = None  # (k1, m), P - xi3
+    q_row: np.ndarray | None = None  # (k1, m), Q
+    p_beta: np.ndarray | None = None  # (k1, m - k1)
+    q_beta: np.ndarray | None = None  # (k1, m - k1)
+    xi3_col: np.ndarray | None = None  # (k1, 1)
 
     @property
     def alpha(self) -> np.ndarray:
@@ -199,8 +230,9 @@ def build_spectral_jacobian(X: np.ndarray | None, tau: float, svd: MatrixSvd | N
 
     When ``||X||_2 <= tau`` (with tau > 0) the projection is locally the
     identity and only a flag is stored.  Otherwise the SVD-based block
-    scalars are precomputed on the rows indexed by ``alpha``.  A
-    precomputed ``svd`` may be passed in place of the matrix itself.
+    scalars are precomputed on the rows indexed by ``alpha``, with the
+    combined weights and factor blocks of the fast action.  A precomputed
+    ``svd`` may be passed in place of the matrix itself.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -228,13 +260,20 @@ def build_spectral_jacobian(X: np.ndarray | None, tau: float, svd: MatrixSvd | N
     xi2_ab = (s_a[:, None] - tau) / (s_a[:, None] + s_b[None, :])
     xi1_ab2 = (s_a[:, None] - tau) / (s_a[:, None] - s_b2[None, :])
     xi3_d = 1.0 - tau / s_a
+    # alpha rows of xi1 (1 on alpha and beta1) and of xi2
+    xi1_row = np.ones((k1, m))
+    xi1_row[:, k2:] = xi1_ab2
+    xi2_row = np.concatenate([xi2_aa, xi2_ab], axis=1)
+    p_row = 0.5 * (xi1_row + xi2_row)
+    q_row = 0.5 * (xi1_row - xi2_row)
+    U, Vt = svd.U, svd.Vt
     return SpectralJacobian(
         shape=shape,
         tau=tau,
         is_interior=False,
         transposed=svd.transposed,
-        U=svd.U,
-        Vt=svd.Vt,
+        U=U,
+        Vt=Vt,
         s=s,
         k1=k1,
         k2=k2,
@@ -242,6 +281,15 @@ def build_spectral_jacobian(X: np.ndarray | None, tau: float, svd: MatrixSvd | N
         xi2_ab=xi2_ab,
         xi1_ab2=xi1_ab2,
         xi3_d=xi3_d,
+        Ua_t=np.ascontiguousarray(U[:, :k1].T),
+        U_beta=np.ascontiguousarray(U[:, k1:]),
+        V1_t=np.ascontiguousarray(Vt[:m]),
+        Va_t=np.ascontiguousarray(Vt[:k1]),
+        p_row=p_row - xi3_d[:, None],
+        q_row=q_row,
+        p_beta=p_row[:, k1:].copy(),
+        q_beta=q_row[:, k1:].copy(),
+        xi3_col=xi3_d[:, None],
     )
 
 
@@ -281,38 +329,35 @@ def _apply_dense(jac: SpectralJacobian, D: np.ndarray) -> np.ndarray:
 
 
 def _apply_fast(jac: SpectralJacobian, D: np.ndarray) -> np.ndarray:
-    """Same action using only alpha-indexed blocks: O(k1 m k + k1 m^2)."""
-    m = jac.s.size
-    k1, k2 = jac.k1, jac.k2
+    """Same action from the alpha-indexed blocks alone: O(k1 m (m + k)).
+
+    The action is D - U (K V1' + (xi3 o H2) V2') with H = U' D [V1 V2] and
+    K = xi1 o S + xi2 o T, S and T the symmetric and antisymmetric parts
+    of H1 = U' D V1.  K is zero off the alpha rows and columns.  With
+    H_row = H1[alpha, :] and H_col = H1[:, alpha]', its alpha rows are
+    P o H_row + Q o H_col, and its beta rows, transposed, are
+    Q o H_row + P o H_col on the beta columns.  The trailing block lives
+    on the alpha rows too, as xi3 o (U_alpha' D - H_row V1') (through
+    I - V1 V1', so V2 is never formed); ``p_row`` holds P - xi3 for it.
+    Every product has k1 as one of its dimensions.
+    """
+    k1 = jac.k1
     if k1 == 0:
         # No singular value above the threshold: only tie blocks remain and
         # every stored scaling is empty, so the action reduces to D itself.
         return D.copy()
-    U, Vt = jac.U, jac.Vt
-    V1t = Vt[:m, :]  # (m, k)
-    Ua = U[:, :k1]
-    UaD = Ua.T @ D  # (k1, k)
-    H_row = UaD @ V1t.T  # rows alpha of H1, (k1, m)
-    H_col = (U.T @ (D @ V1t.T[:, :k1])).T  # transposed cols alpha, (k1, m)
-    S_row = 0.5 * (H_row + H_col)
-    T_row = 0.5 * (H_row - H_col)
-
-    K_row = np.empty((k1, m))
-    K_row[:, :k1] = S_row[:, :k1] + jac.xi2_aa * T_row[:, :k1]
-    K_row[:, k1:k2] = S_row[:, k1:k2] + jac.xi2_ab[:, : k2 - k1] * T_row[:, k1:k2]
-    K_row[:, k2:] = jac.xi1_ab2 * S_row[:, k2:] + jac.xi2_ab[:, k2 - k1 :] * T_row[:, k2:]
-    # Rows beta of the scaled matrix touch columns alpha only; S is symmetric
-    # and T antisymmetric, so both blocks come from the alpha rows already
-    # computed.
-    K_colb = np.empty((m - k1, k1))
-    K_colb[: k2 - k1, :] = S_row[:, k1:k2].T - jac.xi2_ab[:, : k2 - k1].T * T_row[:, k1:k2].T
-    K_colb[k2 - k1 :, :] = (
-        jac.xi1_ab2.T * S_row[:, k2:].T - jac.xi2_ab[:, k2 - k1 :].T * T_row[:, k2:].T
-    )
-    G1 = Ua @ (K_row @ V1t) + U[:, k1:] @ (K_colb @ V1t[:k1, :])
-    # Trailing block through I - V1 V1' to avoid forming V2.
-    G2 = Ua @ (jac.xi3_d[:, None] * (UaD - H_row @ V1t))
-    return D - G1 - G2
+    UaD = jac.Ua_t @ D  # (k1, k)
+    H_row = UaD @ jac.V1_t.T  # (k1, m)
+    H_col = (jac.Va_t @ D.T) @ jac.U  # (k1, m)
+    top = jac.p_row * H_row
+    top += jac.q_row * H_col
+    top = top @ jac.V1_t
+    top += jac.xi3_col * UaD  # (k1, k): the alpha rows of U' (D - out)
+    K_beta = jac.q_beta * H_row[:, k1:]
+    K_beta += jac.p_beta * H_col[:, k1:]
+    out = D - jac.Ua_t.T @ top
+    out -= (jac.U_beta @ K_beta.T) @ jac.Va_t
+    return out
 
 
 def apply_spectral_jacobian(jac: SpectralJacobian, d_W: np.ndarray, mode: str = "fast") -> np.ndarray:
@@ -326,7 +371,7 @@ def apply_spectral_jacobian(jac: SpectralJacobian, d_W: np.ndarray, mode: str = 
     if d_W.shape != jac.shape:
         raise ValueError(f"direction has shape {d_W.shape}, expected {jac.shape}")
     if jac.is_interior:
-        return d_W
+        return d_W.copy()  # never the caller's array: callers accumulate in place
     D = d_W.T if jac.transposed else d_W
     if mode == "dense":
         out = _apply_dense(jac, D)

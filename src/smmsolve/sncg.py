@@ -40,6 +40,16 @@ its own.  The SVD of the accepted line-search trial is reused by the
 next state.  A subproblem ending on R makes one fresh A W to return a
 state on all rows, which the caller uses in place of its own pass.
 
+At small p q a step also has a cost that n does not change.  Each CG
+iteration applies the operator once (``cg`` reports the residual its
+recurrence carries, with no extra application at the end), and each
+application the spectral Jacobian, whose weights are formed once per
+step (``prox._apply_fast``).  In the line search only the full step,
+the trial mostly accepted, makes an SVD with vectors; a backtracked
+trial takes the singular values alone, or none when Lam_k + sigma W lies
+in the Frobenius ball of radius tau, and an accepted one makes the SVD
+of its point once, for the next state.
+
 Stopping.  ``solve_subproblem`` stops, in this order of checks, when
 
 - the caller's criterion fires (reason supplied by the caller), or the
@@ -63,6 +73,7 @@ otherwise backtrack to a vanishing step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -113,8 +124,11 @@ SCREEN_RADIUS = 2.0
 SCREEN_MAX_SHARE = 0.1
 
 
-def _norm(W: np.ndarray, b: float) -> float:
-    return float(np.sqrt(np.sum(W * W) + b * b))
+def _norm(W: np.ndarray, b: float = 0.0) -> float:
+    # Norms and sums of the small arrays of a Newton step are taken as dot
+    # products (np.vdot flattens) and ndarray.sum: the np.sum and
+    # np.linalg.norm wrappers cost more than the reductions at these sizes.
+    return math.sqrt(np.vdot(W, W) + b * b)
 
 
 @dataclass(frozen=True)
@@ -172,7 +186,7 @@ class Screen:
         if self.idx is None:
             return True
         return (
-            np.linalg.norm(W - self.W) + np.linalg.norm(d_W) <= self.rho_W
+            _norm(W - self.W) + _norm(d_W) <= self.rho_W
             and abs(b - self.b) + abs(d_b) <= self.rho_b
         )
 
@@ -182,8 +196,8 @@ class Screen:
             return 0.0
         return (
             self.v_norm
-            + self.x_norm * np.linalg.norm(W - self.W)
-            + np.sqrt(self.n_out) * abs(b - self.b)
+            + self.x_norm * _norm(W - self.W)
+            + math.sqrt(self.n_out) * abs(b - self.b)
         )
 
     def apply(self, ds: Dataset, d_W: np.ndarray) -> np.ndarray:
@@ -340,24 +354,26 @@ class SubproblemState:
 def _phi_support_part(omega: np.ndarray, C: float) -> float:
     resid = omega - np.clip(omega, 0.0, C)
     pi = omega - resid
-    return float(C * np.sum(np.maximum(resid, 0.0)) + 0.5 * np.sum(pi * pi))
+    return float(C * np.maximum(resid, 0.0).sum() + 0.5 * (pi @ pi))
 
 
-def _phi(ctx, screen, omega, W, b, svd=None):
+def _phi(ctx, screen, omega, W, b, svd=None, vectors=True):
     """phi at (W, b) from omega over the screen's rows, and the SVD of
-    ``Lam_k + sigma W`` it used (None without the nuclear block)."""
+    ``Lam_k + sigma W`` it used (None without the nuclear block).  With
+    ``vectors=False`` and no ``svd`` the nuclear envelope takes only the
+    singular values (see ``prox.env_nuclear``), and the SVD is None."""
     sigma, C = ctx.sigma, ctx.hyper.C
     dW = W if ctx.w_target is None else W - ctx.w_target
     db = b - ctx.b_center
     phi = (
-        0.5 * ctx.w_weight * np.sum(dW * dW)
+        0.5 * ctx.w_weight * np.vdot(dW, dW)
         + 0.5 * ctx.b_weight * db * db
         + (_phi_support_part(omega, C) + screen.outside_phi(sigma, C, W, b)) / sigma
         - 0.5 * ctx.lam_sq / sigma
     )
     if ctx.include_nuclear:
         Xk = ctx.Lam_k + sigma * W
-        if svd is None:
+        if svd is None and vectors:
             svd = prox.full_svd(Xk)
         phi += prox.env_nuclear(Xk, ctx.hyper.tau, svd=svd) / sigma
         phi -= 0.5 * ctx.Lam_sq / sigma
@@ -415,7 +431,7 @@ def _adjoint_pi(ctx, pi_omega, j1, in_j2, base, rows, reuse=None):
         g = base.g + crossed.T @ np.where(in_j2[changed], y[changed], -y[changed])
     else:
         g = base.g
-    drift = base.drift + C * float(np.sum(ds.row_norms[changed]))
+    drift = base.drift + C * float(ds.row_norms[changed].sum())
     return j1_part + C * g, AdjointSplit(g, in_j2, j1_part, drift), aj
 
 
@@ -572,12 +588,12 @@ def compute_state(
     phi, svd = _phi(ctx, screen, omega, W, b, svd)
     dW = W if ctx.w_target is None else W - ctx.w_target
     db = b - ctx.b_center
-    dW_sq = np.sum(dW * dW)
+    dW_sq = float(np.vdot(dW, dW))
     grad_W = ctx.w_weight * dW - At_pi.reshape(W.shape)
     grad_b = ctx.b_weight * db - (float(screen.labels @ pi_omega) + C * screen.y_c)
     rows_j1 = ds.row_norms[j1]
     grad_scale = (
-        ctx.w_weight * np.sqrt(dW_sq)
+        ctx.w_weight * math.sqrt(dW_sq)
         + abs(ctx.b_weight * db)
         + screen.row_norms @ pi_omega
         + C * screen.r_c
@@ -593,7 +609,7 @@ def compute_state(
         nuc = prox.prox_nuclear(Xk, ctx.hyper.tau, svd=svd)
         proj = Xk - nuc.Y  # exact Moreau split of Xk
         grad_W = grad_W + proj
-        grad_scale += np.linalg.norm(Xk)
+        grad_scale += _norm(Xk)
         phi_scale += 0.5 * ctx.Lam_sq / sigma
         U = nuc.Y / sigma
         Lam_new = proj
@@ -627,9 +643,9 @@ def compute_state(
         AW=AW,
         j1=j1,
         screen=screen,
-        v_norm=float(np.sqrt(v @ v + v_out * v_out)),
-        lam_new_norm=float(np.sqrt(pi_omega @ pi_omega + screen.n_c * C * C)),
-        lam_step_norm=float(np.sqrt(shifted @ shifted + screen.dlam_sq)),
+        v_norm=math.sqrt(v @ v + v_out * v_out),
+        lam_new_norm=math.sqrt(pi_omega @ pi_omega + screen.n_c * C * C),
+        lam_step_norm=math.sqrt(shifted @ shifted + screen.dlam_sq),
         split=split,
         j1_rows=j1_rows,
     )
@@ -671,7 +687,7 @@ class NewtonWorkspace:
             self.aj = _gather(ds, self.j1, np.empty((self.j1.size, ds.p * ds.q)))
         self.rho = config.tau1 * min(config.tau2, state.grad_norm)
         self.denom = self.a_b + self.sigma * self.j1.size + self.rho
-        self.ajy = np.sum(self.aj, axis=0)  # vec of A*_J1 y_J1
+        self.ajy = self.aj.sum(axis=0)  # vec of A*_J1 y_J1
         self.spectral = (
             prox.build_spectral_jacobian(None, ctx.hyper.tau, svd=state.nuc.svd)
             if state.nuc is not None
@@ -680,18 +696,22 @@ class NewtonWorkspace:
         self.precond = self.jacobi_diag() if config.use_jacobi_precond else None
 
     def apply(self, d_vec: np.ndarray) -> np.ndarray:
-        """Reduced operator on vec(d_W)."""
-        out = self.a_w * d_vec
-        if self.spectral is not None:
-            d_mat = d_vec.reshape(self.shape)
-            out = out + self.sigma * prox.apply_spectral_jacobian(self.spectral, d_mat).ravel()
+        """Reduced operator on vec(d_W), accumulated into one new array;
+        ``d_vec`` is only read."""
         z = self.aj @ d_vec  # y_J1 * (A_J1 d)
-        s = np.sum(z)  # y_J1' A_J1 d
-        out = out + self.aj.T @ (self.sigma * z - self.sigma**2 * s / self.denom)
+        z *= self.sigma
+        z -= (self.sigma / self.denom) * z.sum()  # less sigma^2 y_J1' A_J1 d / denom
+        out = self.aj.T @ z
+        out += self.a_w * d_vec
+        if self.spectral is not None:
+            jd = prox.apply_spectral_jacobian(self.spectral, d_vec.reshape(self.shape))
+            jd *= self.sigma
+            out_mat = out.reshape(self.shape)  # a view of out
+            out_mat += jd
         return out
 
     def recover_db(self, rhs2: float, d_vec: np.ndarray) -> float:
-        return (rhs2 - self.sigma * float(np.sum(self.aj @ d_vec))) / self.denom
+        return (rhs2 - self.sigma * float((self.aj @ d_vec).sum())) / self.denom
 
     def jacobi_diag(self) -> np.ndarray:
         """Diagonal model of the reduced operator for Jacobi preconditioning.
@@ -717,10 +737,12 @@ def cg(
 ):
     """Conjugate gradients for a self-adjoint positive definite operator.
 
-    Stops when the residual norm drops to ``tol`` in the absolute sense;
-    the reported residual is recomputed from the operator.  An optional
-    diagonal preconditioner is applied in the usual split form.  Returns
-    (x, iterations, achieved residual, converged).
+    Stops when the residual norm drops to ``tol`` in the absolute sense.
+    An optional diagonal preconditioner is applied in the usual split
+    form.  Returns (x, iterations, residual, converged), where the residual
+    is the norm of the one the recurrence carries: it follows rhs - A x up
+    to roundoff, and costs no further application of the operator.  A
+    caller that needs the true residual recomputes it.
     """
     if x0 is None:
         x = np.zeros_like(rhs)
@@ -728,8 +750,9 @@ def cg(
     else:
         x = x0.astype(np.float64, copy=True)
         r = rhs - apply_op(x)
-    if np.linalg.norm(r) <= tol:
-        return x, 0, float(np.linalg.norm(r)), True
+    res = math.sqrt(r @ r)
+    if res <= tol:
+        return x, 0, res, True
     z = r if precond_diag is None else r / precond_diag
     p = z.copy()
     rz = float(r @ z)
@@ -737,19 +760,19 @@ def cg(
     for it in range(1, max_iter + 1):
         Ap = apply_op(p)
         pAp = float(p @ Ap)
-        if pAp <= 0 or not np.isfinite(pAp):
+        if pAp <= 0 or not math.isfinite(pAp):
             break  # loss of positive definiteness in finite precision
         a = rz / pAp
         x += a * p
         r -= a * Ap
-        if np.linalg.norm(r) <= tol:
+        res = math.sqrt(r @ r)
+        if res <= tol:
             break
         z = r if precond_diag is None else r / precond_diag
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    true_res = float(np.linalg.norm(rhs - apply_op(x)))
-    return x, it, true_res, true_res <= tol
+    return x, it, res, res <= tol
 
 
 def newton_direction(
@@ -785,7 +808,7 @@ def newton_direction(
 def _descent(state: SubproblemState, d_W: np.ndarray, d_b: float):
     """(d_W, d_b, g'd): the direction, or steepest descent when it fails a
     strict descent test (possible in finite precision)."""
-    g_dot_d = float(np.sum(state.grad_W * d_W) + state.grad_b * d_b)
+    g_dot_d = float(np.vdot(state.grad_W, d_W) + state.grad_b * d_b)
     if g_dot_d >= -1e-12 * state.grad_norm * _norm(d_W, d_b):
         return -state.grad_W, -state.grad_b, -state.grad_norm**2
     return d_W, d_b, g_dot_d
@@ -814,6 +837,12 @@ def line_search(
     an accepted step, ``products`` (if given) receives ``"Ad"``, A d_W of
     the direction used over those rows, and ``"svd"``, the SVD of
     ``Lam_k + sigma W`` at the new iterate, for the next ``compute_state``.
+
+    Only the first trial, alpha = 1, which is the one mostly accepted,
+    makes a full SVD (with vectors).  A backtracked trial needs no more
+    than the singular values for phi, and no SVD at all inside the
+    Frobenius ball of radius tau (``prox.env_nuclear``); when one is
+    accepted, the SVD of its point is made once, for ``products``.
     """
     if state is None:
         state = compute_state(ctx, W, b)
@@ -827,14 +856,18 @@ def line_search(
     alpha = 1.0
     evals = 0
     while evals < config.ls_max_backtracks:
+        W_trial = W + alpha * d_W
         trial, svd = _phi(
-            ctx, screen, state.omega - alpha * slope, W + alpha * d_W, b + alpha * d_b
+            ctx, screen, state.omega - alpha * slope, W_trial, b + alpha * d_b,
+            vectors=evals == 0,
         )
         evals += 1
         if trial <= state.phi + config.mu * alpha * g_dot_d or (
             evals == 1 and abs(trial - state.phi) <= flat
         ):
             if products is not None:
+                if svd is None and ctx.include_nuclear:
+                    svd = prox.full_svd(ctx.Lam_k + ctx.sigma * W_trial)
                 products.update(Ad=Ad, svd=svd)
             return alpha, evals, d_W, d_b, False
         alpha *= config.delta_ls
@@ -941,7 +974,7 @@ def solve_subproblem(
             state = _on_all_rows(ctx, state, rows)
         if state.screen.idx is None:
             state = _screen(
-                ctx, state, SCREEN_RADIUS * np.linalg.norm(d_W), SCREEN_RADIUS * abs(d_b), rows
+                ctx, state, SCREEN_RADIUS * _norm(d_W), SCREEN_RADIUS * abs(d_b), rows
             )
         step = {}
         alpha, _, d_W, d_b, stalled = line_search(

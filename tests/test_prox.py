@@ -182,7 +182,9 @@ class TestSpectralJacobian:
         J = prox.build_spectral_jacobian(X, 100.0)
         assert J.is_interior
         D = rng.standard_normal((3, 4))
-        np.testing.assert_array_equal(prox.apply_spectral_jacobian(J, D), D)
+        out = prox.apply_spectral_jacobian(J, D)
+        np.testing.assert_array_equal(out, D)
+        assert not np.shares_memory(out, D)  # callers accumulate into it
 
     def test_diag_block_structure(self):
         J = prox.build_spectral_jacobian(np.diag([3.0, 2.0, 0.5]), 1.0)
@@ -277,3 +279,60 @@ class TestSpectralJacobian:
         fast = prox.apply_spectral_jacobian(J, D, "fast")
         dense = prox.apply_spectral_jacobian(J, D, "dense")
         np.testing.assert_allclose(fast, dense, atol=1e-12)
+
+    @pytest.mark.parametrize("p, q", [(20, 20), (50, 80), (80, 50)])
+    @pytest.mark.parametrize("k1", [1, 5, None])  # None: all of min(p, q)
+    def test_fast_equals_dense_at_benchmark_shapes(self, p, q, k1):
+        rng = np.random.default_rng(1000 * p + q)
+        m = min(p, q)
+        k1 = m if k1 is None else k1
+        svals = np.sort(rng.uniform(0.5, 5.0, size=m))[::-1]
+        tau = 0.5 * (svals[k1 - 1] + svals[k1]) if k1 < m else 0.5 * svals[-1]
+        J = prox.build_spectral_jacobian(_random_spectrum_matrix(rng, p, q, svals), tau)
+        assert J.k1 == k1 and J.transposed == (p > q)
+        for _ in range(3):
+            D = rng.standard_normal((p, q))
+            fast = prox.apply_spectral_jacobian(J, D, "fast")
+            dense = prox.apply_spectral_jacobian(J, D, "dense")
+            assert np.linalg.norm(fast - dense) <= 1e-12 * max(1.0, np.linalg.norm(dense))
+
+    def test_exact_tie_on_the_top_value(self):
+        rng = np.random.default_rng(31)
+        # tau just below sigma_1: not interior, but sigma_1 ties the
+        # threshold, so no value lies above it and the action is D itself
+        X = _random_spectrum_matrix(rng, 20, 20, np.linspace(4.0, 0.5, 20))
+        top = prox.full_svd(X).s[0]
+        J = prox.build_spectral_jacobian(X, float(np.nextafter(top, 0.0)))
+        assert not J.is_interior and J.k1 == 0 and J.beta1.size == 1
+        D = rng.standard_normal((20, 20))
+        fast = prox.apply_spectral_jacobian(J, D, "fast")
+        dense = prox.apply_spectral_jacobian(J, D, "dense")
+        assert np.linalg.norm(fast - dense) <= 1e-12 * max(1.0, np.linalg.norm(dense))
+        np.testing.assert_array_equal(fast, D)
+
+
+class TestNuclearEnvelopeValues:
+    """Without an SVD the envelope takes only the singular values, and none
+    inside the Frobenius ball of radius tau (own generators, so the shared
+    rng stream of the other tests is left alone)."""
+
+    @pytest.mark.parametrize("shape", [(3, 4), (20, 20), (80, 50)])
+    def test_matches_the_full_svd(self, shape):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        for scale in (0.01, 0.3, 1.0, 3.0):
+            X = rng.standard_normal(shape) * scale
+            tau = 2.0
+            got = prox.env_nuclear(X, tau)
+            ref = prox.env_nuclear(X, tau, svd=prox.full_svd(X))
+            assert got == pytest.approx(ref, rel=1e-13, abs=1e-300)
+
+    def test_inside_the_ball_makes_no_svd(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        X = rng.standard_normal((5, 7))
+        tau = 1.01 * np.linalg.norm(X)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD inside the Frobenius ball")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert prox.env_nuclear(X, tau) == pytest.approx(0.5 * np.sum(X * X), rel=1e-14)

@@ -155,25 +155,32 @@ def dense_newton_matrix(ctx, state, rho):
 
 
 class TestNewtonDirection:
-    def test_matches_dense_solve_on_tiny_instances(self, rng):
-        # CG on the reduced system against a dense solve of the full system
+    @pytest.mark.parametrize("p, q", [(3, 3), (3, 5), (5, 3)])  # p > q: transposed SVD
+    def test_matches_dense_solve_on_tiny_instances(self, rng, p, q):
+        # CG on the reduced system against a dense solve of the full system.
+        # 3 x 3 draws from the shared stream, the other shapes from their
+        # own generators, so the later tests see the stream they always did.
+        if (p, q) != (3, 3):
+            rng = np.random.default_rng(100 * p + q)
         cfg = sncg.SncgConfig()
+        spectral = 0  # directions through a non-interior spectral Jacobian
         for trial in range(10):
             ctx = make_context(
                 rng,
                 n=6,
-                p=3,
-                q=3,
+                p=p,
+                q=q,
                 C=float(rng.uniform(0.5, 2.0)),
                 tau=float(rng.uniform(0.3, 1.2)),
                 sigma=float(rng.uniform(0.5, 2.0)),
             )
-            W = rng.standard_normal((3, 3)) * 0.5
+            W = rng.standard_normal((p, q)) * 0.5
             b = float(rng.standard_normal() * 0.2)
             state = sncg.compute_state(ctx, W, b)
             if state.grad_norm == 0:
                 continue
             ws = sncg.NewtonWorkspace(ctx, state, cfg)
+            spectral += not ws.spectral.is_interior
             d_W, d_b, _, _ = sncg.newton_direction(
                 ctx, W, b, ws, tol=1e-12, state=state, cg_max_iter=500
             )
@@ -182,6 +189,7 @@ class TestNewtonDirection:
             direct = np.linalg.solve(V, rhs)
             got = np.concatenate([d_W.ravel(), [d_b]])
             assert np.linalg.norm(got - direct) <= 1e-8 * max(1.0, np.linalg.norm(direct))
+        assert spectral >= 5
 
     def test_zero_gradient_gives_zero_direction(self, rng):
         ctx = make_context(rng, n=10, p=3, q=3)
@@ -205,6 +213,21 @@ class TestNewtonDirection:
         for _ in range(20):
             d1, d2 = rng.standard_normal(16), rng.standard_normal(16)
             assert ws.apply(d1) @ d2 == pytest.approx(ws.apply(d2) @ d1, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("tau", [100.0, 0.3])  # interior, then not
+    def test_operator_leaves_its_argument_alone(self, tau):
+        # CG hands its search direction to the operator and reads it after
+        rng = np.random.default_rng(17)
+        ctx = make_context(rng, n=25, p=4, q=5, tau=tau)
+        state = sncg.compute_state(ctx, rng.standard_normal((4, 5)), 0.1)
+        ws = sncg.NewtonWorkspace(ctx, state, sncg.SncgConfig())
+        assert ws.spectral.is_interior == (tau == 100.0)
+        d = rng.standard_normal(20)
+        kept = d.copy()
+        out = ws.apply(d)
+        np.testing.assert_array_equal(d, kept)
+        assert not np.shares_memory(out, d)
+        np.testing.assert_array_equal(ws.apply(d), out)
 
     def test_row_buffer_gives_the_same_operator(self, rng):
         ctx = make_context(rng, n=25, p=4, q=4)
@@ -300,6 +323,56 @@ class TestLineSearch:
         )
         assert not stalled
         np.testing.assert_array_equal(dW_used, -state.grad_W)
+
+
+    @pytest.mark.parametrize("seed, tau, scale", [(2, 3.0, 1e3), (0, 1.0, 1e2)])
+    def test_backtracked_trials_need_no_singular_vectors(self, monkeypatch, seed, tau, scale):
+        # An oversized step backtracks.  Its trials leave the first one's
+        # SVD with vectors out, and the ones inside the Frobenius tau-ball
+        # of Lam_k + sigma W make none: each trial's phi must still be phi
+        # from a full SVD.  The first case ends inside that ball, the
+        # second outside it.  (Own generators, so the shared rng stream of
+        # the other tests is left alone.)
+        rng = np.random.default_rng(seed)
+        ctx = make_context(rng, n=30, p=3, q=4, tau=tau, sigma=1.5)
+        W = 0.1 * rng.standard_normal((3, 4))
+        state = sncg.compute_state(ctx, W, 0.1)
+        trials, svds = [], []
+        phi, full_svd = sncg._phi, prox.full_svd
+
+        def spy_phi(*args, **kwargs):
+            value, svd = phi(*args, **kwargs)
+            trials.append((args, value))
+            return value, svd
+
+        def spy_svd(X):
+            svds.append(X)
+            return full_svd(X)
+
+        monkeypatch.setattr(sncg, "_phi", spy_phi)
+        monkeypatch.setattr(prox, "full_svd", spy_svd)
+        step = {}
+        alpha, evals, d_W, d_b, stalled = sncg.line_search(
+            ctx, W, 0.1, -scale * state.grad_W, -scale * state.grad_b, sncg.SncgConfig(),
+            state=state, products=step,
+        )
+        monkeypatch.undo()
+        assert not stalled and alpha < 1.0 and evals == len(trials) > 2
+        # vectors for the first trial and for the accepted point only
+        assert len(svds) == 2
+        in_ball = []
+        for (c, screen, omega, W_t, b_t), value in trials:
+            X = ctx.Lam_k + ctx.sigma * W_t
+            in_ball.append(bool(np.linalg.norm(X) <= ctx.hyper.tau))
+            ref, _ = sncg._phi(c, screen, omega, W_t, b_t)  # with a full SVD
+            assert abs(value - ref) <= 1e-13 * abs(ref)
+        assert not in_ball[1]
+        assert in_ball[-1] == (tau == 3.0)
+        # the SVD handed back is that of the accepted point
+        ref = prox.full_svd(ctx.Lam_k + ctx.sigma * (W + alpha * d_W))
+        got = step["svd"]
+        for name in ("U", "s", "Vt", "transposed"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
 
 class TestSolveSubproblem:
