@@ -180,12 +180,10 @@ class SpectralJacobian:
     only where they are nonzero, which is what makes the fast action cheap
     when ``k1`` is small.
 
-    For the fast action the blocks are also combined, once, into weights
-    on the alpha rows of H = U' D V1 and of its transpose: with xi1, xi2
-    the symmetric scalings, P = (xi1 + xi2)/2 and Q = (xi1 - xi2)/2 on the
-    (k1, m) block (``p_row`` holds P less the trailing scaling xi3, see
-    ``_apply_fast``; ``p_beta``, ``q_beta`` their beta columns).  The factor
-    blocks it multiplies by are stored contiguous.
+    For the fast action (``_apply_fast``) the blocks are also combined,
+    once, into the weights P = (xi1 + xi2)/2 and Q = (xi1 - xi2)/2 on the
+    (k1, m) block, xi1 and xi2 being the symmetric scalings, and the
+    factor blocks it multiplies by are stored contiguous.
     """
 
     shape: tuple[int, int]  # original orientation
