@@ -297,9 +297,9 @@ class TestSpectralJacobian:
             assert np.linalg.norm(fast - dense) <= 1e-12 * max(1.0, np.linalg.norm(dense))
 
     def test_exact_tie_on_the_top_value(self):
-        rng = np.random.default_rng(31)
         # tau just below sigma_1: not interior, but sigma_1 ties the
         # threshold, so no value lies above it and the action is D itself
+        rng = np.random.default_rng(31)
         X = _random_spectrum_matrix(rng, 20, 20, np.linspace(4.0, 0.5, 20))
         top = prox.full_svd(X).s[0]
         J = prox.build_spectral_jacobian(X, float(np.nextafter(top, 0.0)))
