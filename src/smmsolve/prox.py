@@ -258,12 +258,14 @@ def build_spectral_jacobian(X: np.ndarray | None, tau: float, svd: MatrixSvd | N
     xi2_ab = (s_a[:, None] - tau) / (s_a[:, None] + s_b[None, :])
     xi1_ab2 = (s_a[:, None] - tau) / (s_a[:, None] - s_b2[None, :])
     xi3_d = 1.0 - tau / s_a
-    # alpha rows of xi1 (1 on alpha and beta1) and of xi2
+    # P and Q on the alpha rows: xi1 is 1 on alpha and beta1
     xi1_row = np.ones((k1, m))
     xi1_row[:, k2:] = xi1_ab2
     xi2_row = np.concatenate([xi2_aa, xi2_ab], axis=1)
-    p_row = 0.5 * (xi1_row + xi2_row)
-    q_row = 0.5 * (xi1_row - xi2_row)
+    P = xi1_row + xi2_row
+    P *= 0.5
+    Q = xi1_row - xi2_row
+    Q *= 0.5
     U, Vt = svd.U, svd.Vt
     return SpectralJacobian(
         shape=shape,
@@ -279,14 +281,14 @@ def build_spectral_jacobian(X: np.ndarray | None, tau: float, svd: MatrixSvd | N
         xi2_ab=xi2_ab,
         xi1_ab2=xi1_ab2,
         xi3_d=xi3_d,
-        Ua_t=np.ascontiguousarray(U[:, :k1].T),
-        U_beta=np.ascontiguousarray(U[:, k1:]),
-        V1_t=np.ascontiguousarray(Vt[:m]),
-        Va_t=np.ascontiguousarray(Vt[:k1]),
-        p_row=p_row - xi3_d[:, None],
-        q_row=q_row,
-        p_beta=p_row[:, k1:].copy(),
-        q_beta=q_row[:, k1:].copy(),
+        Ua_t=U[:, :k1].T.copy(),
+        U_beta=U[:, k1:].copy(),
+        V1_t=Vt[:m],  # row blocks of Vt are contiguous already
+        Va_t=Vt[:k1],
+        p_row=P - xi3_d[:, None],
+        q_row=Q,
+        p_beta=P[:, k1:],
+        q_beta=Q[:, k1:],
         xi3_col=xi3_d[:, None],
     )
 
