@@ -12,12 +12,12 @@ more of them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import prox, sncg
-from .alm import SolveReport, Solution
+from .alm import Solution, _finish, _stop
 from .problem import (
     Dataset,
     DualPoint,
@@ -25,22 +25,23 @@ from .problem import (
     PrimalPoint,
     apply_A,
     apply_A_adjoint,
-    classify_samples,
-    dual_objective,
     kkt_residual,
     primal_objective,
 )
 
 __all__ = ["AdmmConfig", "solve_ispadmm", "solve_sgs_ispadmm", "warm_start"]
 
+# Outer iterations of the inner augmented Lagrangian in one ISPADMM step.
+INNER_MAX_OUTER = 30
+
 
 @dataclass
 class AdmmConfig:
     """Shared parameters of the two ADMM solvers.
 
-    ``eps_bar_scale = None`` resolves to ``1 + sqrt(n)``; the subproblem
-    error caps are ``scale / (k^2 + 1)``, a summable sequence.  ``kkt_tol``
-    may be None to disable the KKT stop (fixed iteration budgets).
+    The subproblem error caps are ``(1 + sqrt(n)) / (k^2 + 1)``, a summable
+    sequence.  ``kkt_tol`` may be None to disable the KKT stop (fixed
+    iteration budgets).  The stop test and the report are ``alm``'s.
     """
 
     gamma: float = 1.0
@@ -49,9 +50,7 @@ class AdmmConfig:
     delta_prox: float = 1e-6
     kkt_tol: float | None = 1e-6
     relobj_tol: float | None = None
-    eps_bar_scale: float | None = None
     time_limit: float | None = None
-    inner_max_outer: int = 30
     inner: sncg.SncgConfig = field(default_factory=sncg.SncgConfig)
     track_history: bool = True
 
@@ -64,8 +63,7 @@ class AdmmConfig:
             raise ValueError("delta_prox must be positive")
 
     def eps_bar(self, k: int, n: int) -> float:
-        scale = self.eps_bar_scale if self.eps_bar_scale is not None else 1.0 + np.sqrt(n)
-        return scale / (k * k + 1.0)
+        return (1.0 + np.sqrt(n)) / (k * k + 1.0)
 
 
 @dataclass
@@ -119,7 +117,7 @@ def _solve_quad_hinge(
     j1_size = 0
     fresh = False
     converged = False
-    for _ in range(config.inner_max_outer):
+    for _ in range(INNER_MAX_OUTER):
         ctx = sncg.SubproblemContext(
             dataset=dataset,
             hyper=hyper0,
@@ -188,13 +186,12 @@ def solve_ispadmm(
     err_sum = 0.0
     cap_sum = 0.0
     converged = False
-    res = None
+    res = obj = None
     # One fresh A W and one fresh A* lam per iteration, shared as in
     # alm.solve: by the KKT residual, the objective and the next inner
     # solve's first state.
     AW = np.zeros(n) if init is None else apply_A(dataset, W)
     At_lam = base = None
-    obj = primal_objective(dataset, hyper, W, b, AW)
     j1_size = 0
     k_bar = 0
     limit = config.max_iter if max_iter is None else max_iter
@@ -243,23 +240,17 @@ def solve_ispadmm(
                     "time": time.perf_counter() - t0,
                 }
             )
-        if config.kkt_tol is not None and res.eta <= config.kkt_tol:
-            converged = True
-            break
-        if reference_obj is not None and config.relobj_tol is not None:
-            if abs(obj - reference_obj) / (1.0 + abs(reference_obj)) <= config.relobj_tol:
-                converged = True
-                break
-        if config.time_limit is not None and time.perf_counter() - t0 > config.time_limit:
-            flags.append("time-limit")
+        why = _stop(config, res.eta, obj, reference_obj, t0)
+        if why is not None:
+            converged = why != "time-limit"
+            if why != "kkt":
+                flags.append(why)
             break
 
-    if res is None:
-        res = kkt_residual(dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam), AW)
-    return _package(
-        "ispadmm", dataset, hyper, W, b, v, U, lam, Lam, res, obj, it, converged,
-        history, flags, config, t0, reference_obj, j1_size, k_bar,
-        extra={"inner_err_sum": err_sum, "inner_cap_sum": cap_sum}, At_lam=At_lam,
+    return _finish(
+        "ispadmm", dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam),
+        res, obj, AW, At_lam, it, converged, history, flags, config,
+        {"inner_err_sum": err_sum, "inner_cap_sum": cap_sum}, t0, reference_obj, j1_size, k_bar,
     )
 
 
@@ -292,8 +283,7 @@ def solve_sgs_ispadmm(
     history = []
     flags = []
     converged = False
-    res = None
-    obj = primal_objective(dataset, hyper, W, 0.0, Aw)
+    res = obj = None
     b = 0.0
     k_bar = 0
     it = 0
@@ -340,20 +330,16 @@ def solve_sgs_ispadmm(
                     "time": time.perf_counter() - t0,
                 }
             )
-        if config.kkt_tol is not None and res.eta <= config.kkt_tol:
-            converged = True
-            break
-        if reference_obj is not None and config.relobj_tol is not None:
-            if abs(obj - reference_obj) / (1.0 + abs(reference_obj)) <= config.relobj_tol:
-                converged = True
-                break
-        if config.time_limit is not None and time.perf_counter() - t0 > config.time_limit:
-            flags.append("time-limit")
+        why = _stop(config, res.eta, obj, reference_obj, t0)
+        if why is not None:
+            converged = why != "time-limit"
+            if why != "kkt":
+                flags.append(why)
             break
 
-    return _package(
-        "sgs-ispadmm", dataset, hyper, W, b, v, U, lam, Lam, res, obj, it, converged,
-        history, flags, config, t0, reference_obj, 0, k_bar, extra={},
+    return _finish(
+        "sgs-ispadmm", dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam),
+        res, obj, Aw, None, it, converged, history, flags, config, {}, t0, reference_obj, 0, k_bar,
     )
 
 
@@ -373,36 +359,3 @@ def warm_start(
     sol = solve_ispadmm(dataset, hyper, config, max_iter=n_iters)
     return sol.dual, sol.primal
 
-
-def _package(
-    name, dataset, hyper, W, b, v, U, lam, Lam, res, obj, iters, converged,
-    history, flags, config, t0, reference_obj, j1_size, alpha_size, extra, At_lam=None,
-) -> Solution:
-    dual_val = dual_objective(dataset, hyper, lam, Lam, At_lam=At_lam)
-    cls = classify_samples(lam, hyper.C)
-    relobj = None
-    if reference_obj is not None:
-        relobj = abs(obj - reference_obj) / (1.0 + abs(reference_obj))
-    echo = asdict(config)
-    echo.update({"C": hyper.C, "tau": hyper.tau})
-    echo.update(extra)
-    report = SolveReport(
-        solver=name,
-        converged=converged,
-        n_outer=iters,
-        eta_kkt=res.eta,
-        eta_components=dict(res.components),
-        raw_components=dict(res.raw),
-        objective=obj,
-        dual_obj=dual_val.value,
-        sm_count=cls.sm_count,
-        asm_count=cls.asm_count,
-        j1_size=j1_size,
-        alpha_size=alpha_size,
-        wall_time=time.perf_counter() - t0,
-        history=history,
-        config=echo,
-        flags=flags,
-        relobj=relobj,
-    )
-    return Solution(PrimalPoint(W, b, v, U), DualPoint(lam, Lam), report)

@@ -3,11 +3,13 @@
 The outer loop solves the smoothed subproblem with the semismooth
 Newton-CG solver, updates the multipliers by the scaled constraint
 residuals, and grows the penalty when primal feasibility stalls.  The
-subproblem accuracy follows one of two summable-sequence rules evaluated
-at the candidate iterate; both are exposed for testing.  A subproblem
-whose gradient reaches its float64 roundoff floor counts as solved, so the
-penalty is escalated and the step retried only on a real failure (see
-``solve``).
+subproblem accuracy follows a summable-sequence rule (``criterion_A``)
+evaluated at the candidate iterate.  A subproblem whose gradient reaches
+its float64 roundoff floor counts as solved, so the penalty is escalated
+and the step retried only on a real failure (see ``solve``).
+
+The outer stop test (``_stop``) and the report builder (``_finish``) are
+shared with the ADMM baselines in ``admm``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "Solution",
     "CriterionData",
     "criterion_A",
-    "criterion_B",
     "sigma_update",
     "solve",
 ]
@@ -71,10 +72,11 @@ class AlmConfig:
     ``min(10, max(1, 1/C))``, which it returns where features are large.
     An explicit ``sigma0`` wins; it must be positive and at most
     ``sigma_max``.  The accuracy
-    sequences are geometric (hence summable).  ``criterion`` selects which
-    inexactness rule gates the subproblem: "A", "B", or "both" (the
-    conjunction).  ``stop_mode`` switches the termination measure between
-    the normalized KKT residual and the raw residual norms.
+    sequence ``eps0 * eps_ratio**k`` is geometric (hence summable).
+    ``stop_mode`` switches the termination measure between the normalized
+    KKT residual and the raw residual norms.  ``reference_obj`` alone only
+    reports the relative objective gap; with ``relobj_tol`` it also stops
+    the solve.
     """
 
     kkt_tol: float = 1e-6
@@ -84,9 +86,6 @@ class AlmConfig:
     sigma_growth: float = 5.0
     eps0: float = 0.1
     eps_ratio: float = 0.5
-    eta0: float = 0.1
-    eta_ratio: float = 0.5
-    criterion: str = "A"
     stop_mode: str = "normalized"
     retry_limit: int = 3
     reference_obj: float | None = None
@@ -95,8 +94,6 @@ class AlmConfig:
     sncg: sncg.SncgConfig = field(default_factory=sncg.SncgConfig)
 
     def __post_init__(self):
-        if self.criterion not in ("A", "B", "both"):
-            raise ValueError("criterion must be 'A', 'B', or 'both'")
         if self.stop_mode not in ("normalized", "raw"):
             raise ValueError("stop_mode must be 'normalized' or 'raw'")
         if self.sigma_max <= 0:
@@ -105,8 +102,8 @@ class AlmConfig:
             raise ValueError("sigma0 must lie in (0, sigma_max]")
         if self.sigma_growth <= 1:
             raise ValueError("sigma_growth must exceed 1")
-        if not (0 < self.eps_ratio < 1 and 0 < self.eta_ratio < 1):
-            raise ValueError("accuracy ratios must lie in (0, 1)")
+        if not 0 < self.eps_ratio < 1:
+            raise ValueError("eps_ratio must lie in (0, 1)")
 
     def resolve_sigma0(self, dataset: Dataset, hyper: Hyperparams) -> float:
         """The initial penalty for ``dataset`` at ``hyper``."""
@@ -187,14 +184,8 @@ def _common_factor(data: CriterionData, sigma: float) -> float:
 
 
 def criterion_A(data: CriterionData, eps_k: float, sigma: float) -> bool:
-    """First inexact rule: gradient below a summable bound."""
+    """The inexact rule: gradient below a summable bound."""
     return data.grad_norm <= (eps_k**2 / sigma) * _common_factor(data, sigma)
-
-
-def criterion_B(data: CriterionData, eta_k: float, sigma: float) -> bool:
-    """Second inexact rule, scaled by the squared multiplier movement."""
-    bound = (eta_k**2 / sigma) * data.dz_norm**2 * _common_factor(data, sigma)
-    return data.grad_norm <= bound
 
 
 def _grow(sigma: float, config: AlmConfig) -> float:
@@ -209,10 +200,11 @@ def sigma_update(sigma: float, config: AlmConfig, feas_prev: float | None, feas_
     return sigma
 
 
-def _criterion_closure(config: AlmConfig, ctx: sncg.SubproblemContext, z_Lam, eps_k, eta_k):
-    """The subproblem's stop test; the multiplier step of lam is measured
-    from ``ctx.lam_k``.  At a screened state ||v|| is an upper bound (see
-    ``sncg.SubproblemState``), which only delays the test."""
+def _criterion_closure(ctx: sncg.SubproblemContext, z_Lam, eps_k):
+    """The subproblem's stop test, rule A at ``eps_k``; the multiplier step
+    of lam is measured from ``ctx.lam_k``.  At a screened state ||v|| is an
+    upper bound (see ``sncg.SubproblemState``), which only delays the
+    test."""
     sigma = ctx.sigma
 
     def stop(state: sncg.SubproblemState, _i: int):
@@ -232,15 +224,7 @@ def _criterion_closure(config: AlmConfig, ctx: sncg.SubproblemContext, z_Lam, ep
             w_norm=math.sqrt(w_sq),
             dz_norm=dz,
         )
-        ok_a = criterion_A(data, eps_k, sigma)
-        # With no multiplier movement rule B degenerates to grad == 0, so
-        # rule A alone gates those iterations.
-        ok_b = criterion_B(data, eta_k, sigma) if dz > 0 else ok_a
-        if config.criterion == "A":
-            return ok_a, "criterion-A"
-        if config.criterion == "B":
-            return ok_b, "criterion-B"
-        return ok_a and ok_b, "criterion-A+B"
+        return criterion_A(data, eps_k, sigma), "criterion-A"
 
     return stop
 
@@ -255,21 +239,21 @@ def solve(
 
     The origin is the default starting point.  Each outer iteration runs
     one SNCG subproblem, which ends converged when the inexactness rule
-    fires ("criterion-A", "criterion-B", "criterion-A+B"), the gradient is
-    zero ("zero-gradient"), or the gradient sits at its float64 roundoff
-    floor ("roundoff-floor"); see ``sncg``.  Only a real failure, a
-    line-search stall above the floor or an exhausted Newton budget,
-    triggers a retry: the penalty is escalated and the step redone, at
-    most ``retry_limit`` times in a row (flag ``subproblem-retry@k``).
-    After that the failed result is accepted with the flag
-    ``subproblem-nonconvergence``, and the solve can no longer report
-    ``converged``.
+    fires ("criterion-A"), the gradient is zero ("zero-gradient"), or the
+    gradient sits at its float64 roundoff floor ("roundoff-floor"); see
+    ``sncg``.  Only a real failure, a line-search stall above the floor or
+    an exhausted Newton budget, triggers a retry: the penalty is escalated
+    and the step redone, at most ``retry_limit`` times in a row (flag
+    ``subproblem-retry@k``).  After that the failed result is accepted
+    with the flag ``subproblem-nonconvergence``, and the solve can no
+    longer report ``converged``.
 
-    The solve stops when the KKT measure meets ``kkt_tol``, when the
-    relative objective gap meets ``relobj_tol`` (flag
-    ``stopped-on-relobj``), at ``time_limit`` (flag ``time-limit``), or
-    after ``max_outer_iter`` attempts.  ``converged`` holds only for the
-    first two and only if no subproblem failure was accepted.
+    The solve stops on ``_stop``'s reasons, shared with the ADMM solvers:
+    the KKT measure meets ``kkt_tol``, the relative objective gap meets
+    ``relobj_tol`` (flag ``stopped-on-relobj``), or ``time_limit`` passes
+    (flag ``time-limit``); or else after ``max_outer_iter`` attempts.
+    ``converged`` holds only for the first two and only if no subproblem
+    failure was accepted.
 
     ``report.history`` has one row per subproblem attempt, retried ones
     included: its penalty, Newton and CG counts, |J1|, rank, stop
@@ -299,7 +283,7 @@ def solve(
     retries = 0
     v = np.zeros(n)
     U = W.copy()
-    res = None
+    res = obj = At_lam = None
     last_j1 = 0
     last_alpha = 0
     outer = 0
@@ -313,7 +297,6 @@ def solve(
 
     while outer < config.max_outer_iter:
         eps_k = config.eps0 * config.eps_ratio**outer
-        eta_k = config.eta0 * config.eta_ratio**outer
         ctx = sncg.SubproblemContext(
             dataset=dataset,
             hyper=hyper,
@@ -321,7 +304,7 @@ def solve(
             lam_k=lam,
             Lam_k=Lam if hyper.tau > 0 else None,
         )
-        stop = _criterion_closure(config, ctx, Lam, eps_k, eta_k)
+        stop = _criterion_closure(ctx, Lam, eps_k)
         sub = sncg.solve_subproblem(ctx, W, b, stop, config.sncg, AW0=AW, base=base)
         outer += 1
         row = {
@@ -369,37 +352,70 @@ def solve(
             time=time.perf_counter() - t0,
         )
         measure = res.eta if config.stop_mode == "normalized" else res.raw_max
-        if measure <= config.kkt_tol:
-            converged = "subproblem-nonconvergence" not in flags
-            break
-        if config.reference_obj is not None and config.relobj_tol is not None:
-            relobj = abs(obj - config.reference_obj) / (1.0 + abs(config.reference_obj))
-            if relobj <= config.relobj_tol:
-                converged = "subproblem-nonconvergence" not in flags
-                flags.append("stopped-on-relobj")
-                break
-        if config.time_limit is not None and time.perf_counter() - t0 > config.time_limit:
-            flags.append("time-limit")
+        why = _stop(config, measure, obj, config.reference_obj, t0)
+        if why is not None:
+            converged = why != "time-limit" and "subproblem-nonconvergence" not in flags
+            if why != "kkt":
+                flags.append(why)
             break
         feas_new = max(res.components["lambda"], res.components["Lambda"])
         sigma = sigma_update(sigma, config, feas_prev, feas_new)
         feas_prev = feas_new
 
-    if res is None:  # every attempt failed before producing an iterate
-        At_lam = apply_A_adjoint(dataset, lam)
-        res = kkt_residual(
-            dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam), AW, At_lam
-        )
-        obj = primal_objective(dataset, hyper, W, b, AW)
-    dual_val = dual_objective(dataset, hyper, lam, Lam, At_lam=At_lam)
-    cls = classify_samples(lam, hyper.C)
-    relobj = None
-    if config.reference_obj is not None:
-        relobj = abs(obj - config.reference_obj) / (1.0 + abs(config.reference_obj))
+    extra = {"sigma0_resolved": sigma0, "classify_tol": 1e-8 * hyper.C}
+    return _finish(
+        "alm-sncg", dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam),
+        res, obj, AW, At_lam, outer, converged, history, flags, config, extra, t0,
+        config.reference_obj, last_j1, last_alpha,
+    )
+
+
+def _relobj(obj: float, reference_obj: float) -> float:
+    return abs(obj - reference_obj) / (1.0 + abs(reference_obj))
+
+
+def _stop(config, measure: float, obj: float, reference_obj: float | None, t0: float) -> str | None:
+    """Why a solve stops after an iterate, or None, for ``AlmConfig`` and
+    ``admm.AdmmConfig`` alike, checked in this order: "kkt" when
+    ``measure`` meets ``config.kkt_tol`` (None: never), "stopped-on-relobj"
+    when the relative objective gap to ``reference_obj`` meets
+    ``config.relobj_tol``, and "time-limit" once ``config.time_limit``
+    seconds have passed since ``t0``.  The last two are also the flags the
+    report carries."""
+    if config.kkt_tol is not None and measure <= config.kkt_tol:
+        return "kkt"
+    if reference_obj is not None and config.relobj_tol is not None:
+        if _relobj(obj, reference_obj) <= config.relobj_tol:
+            return "stopped-on-relobj"
+    if config.time_limit is not None and time.perf_counter() - t0 > config.time_limit:
+        return "time-limit"
+    return None
+
+
+def _finish(
+    solver: str, dataset: Dataset, hyper: Hyperparams, primal: PrimalPoint, dual: DualPoint,
+    res, obj, AW, At_lam, n_outer, converged, history, flags, config, extra, t0,
+    reference_obj, j1_size, alpha_size,
+) -> Solution:
+    """The solution at ``primal``/``dual`` with its report, for every solver.
+
+    ``res``, ``obj`` and ``At_lam`` are the KKT residual, the objective and
+    A* lam of the last iterate (``At_lam`` may be None); ``AW`` is its
+    A W.  With ``res = None`` the solver made no iterate (a zero budget,
+    or every ALM attempt retried), and the residual and the objective are
+    taken at the start point.  The config echo is ``config`` with C, tau
+    and ``extra``.
+    """
+    if res is None:
+        At_lam = apply_A_adjoint(dataset, dual.lam)
+        res = kkt_residual(dataset, hyper, primal, dual, AW, At_lam)
+        obj = primal_objective(dataset, hyper, primal.W, primal.b, AW)
+    dual_val = dual_objective(dataset, hyper, dual.lam, dual.Lam, At_lam=At_lam)
+    cls = classify_samples(dual.lam, hyper.C)
     report = SolveReport(
-        solver="alm-sncg",
+        solver=solver,
         converged=converged,
-        n_outer=outer,
+        n_outer=n_outer,
         eta_kkt=res.eta,
         eta_components=dict(res.components),
         raw_components=dict(res.raw),
@@ -407,22 +423,12 @@ def solve(
         dual_obj=dual_val.value,
         sm_count=cls.sm_count,
         asm_count=cls.asm_count,
-        j1_size=last_j1,
-        alpha_size=last_alpha,
+        j1_size=j1_size,
+        alpha_size=alpha_size,
         wall_time=time.perf_counter() - t0,
         history=history,
-        config=_config_echo(config, hyper, sigma0),
+        config={**asdict(config), "C": hyper.C, "tau": hyper.tau, **extra},
         flags=flags,
-        relobj=relobj,
+        relobj=None if reference_obj is None else _relobj(obj, reference_obj),
     )
-    return Solution(PrimalPoint(W, b, v, U), DualPoint(lam, Lam), report)
-
-
-def _config_echo(config: AlmConfig, hyper: Hyperparams, sigma0: float) -> dict:
-    """The config as run; ``sigma0_resolved`` is the first attempt's penalty."""
-    echo = asdict(config)
-    echo["sigma0_resolved"] = sigma0
-    echo["C"] = hyper.C
-    echo["tau"] = hyper.tau
-    echo["classify_tol"] = 1e-8 * hyper.C
-    return echo
+    return Solution(primal, dual, report)

@@ -158,7 +158,7 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
 
     if args.solver == "alm":
-        cfg = alm.AlmConfig(kkt_tol=args.tol)
+        cfg = alm.AlmConfig(kkt_tol=args.tol, reference_obj=reference)
         if args.max_iter:
             cfg.max_outer_iter = args.max_iter
         init = None
@@ -177,10 +177,6 @@ def cmd_train(args) -> int:
     else:
         print(f"error: unknown solver {args.solver!r}", file=sys.stderr)
         return EXIT_USAGE
-
-    if reference is not None and sol.report.relobj is None:
-        obj = sol.report.objective
-        sol.report.relobj = abs(obj - reference) / (1.0 + abs(reference))
 
     if args.model:
         try:
@@ -376,7 +372,7 @@ def cmd_bench(args) -> int:
                 sol = run(ds, hyper, cfg, reference_obj=ref_obj)
             elapsed = time.perf_counter() - t0
             timed_out = "time-limit" in sol.report.flags
-            relobj = abs(sol.report.objective - ref_obj) / (1.0 + abs(ref_obj))
+            relobj = sol.report.relobj
             iters = max(sol.report.n_outer, 1)
             row["solvers"][name] = {
                 "relobj": relobj,

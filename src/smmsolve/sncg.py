@@ -234,10 +234,6 @@ class SncgConfig:
     cg_max_iter: int = 300
     max_newton_iter: int = 100
     ls_max_backtracks: int = 50
-    # Jacobi preconditioning of the reduced system; off by default since the
-    # identity block already dominates at moderate penalty values and the
-    # unpreconditioned path is the reproducible baseline.
-    use_jacobi_precond: bool = False
 
     def __post_init__(self):
         if not 0 < self.mu < 0.5:
@@ -698,7 +694,6 @@ class NewtonWorkspace:
             if state.nuc is not None
             else None
         )
-        self.precond = self.jacobi_diag() if config.use_jacobi_precond else None
 
     def apply(self, d_vec: np.ndarray) -> np.ndarray:
         """Reduced operator on vec(d_W), accumulated into one new array;
@@ -718,19 +713,6 @@ class NewtonWorkspace:
     def recover_db(self, rhs2: float, d_vec: np.ndarray) -> float:
         return (rhs2 - self.sigma * float((self.aj @ d_vec).sum())) / self.denom
 
-    def jacobi_diag(self) -> np.ndarray:
-        """Diagonal model of the reduced operator for Jacobi preconditioning.
-
-        The data-term diagonal is exact; the spectral Jacobian's diagonal
-        (entries in [0, 1]) is replaced by its upper bound, so the model
-        over-estimates the true diagonal by at most sigma.
-        """
-        d = np.full(self.aj.shape[1], self.a_w)
-        if self.spectral is not None:
-            d += self.sigma
-        d += self.sigma * np.sum(self.aj * self.aj, axis=0)
-        return d
-
 
 def cg(
     apply_op,
@@ -738,13 +720,12 @@ def cg(
     tol: float,
     max_iter: int,
     x0: np.ndarray | None = None,
-    precond_diag: np.ndarray | None = None,
 ):
-    """Conjugate gradients for a self-adjoint positive definite operator.
+    """Conjugate gradients for a self-adjoint positive definite operator,
+    unpreconditioned.
 
     Stops when the residual norm drops to ``tol`` in the absolute sense.
-    An optional diagonal preconditioner is applied in the usual split
-    form.  Returns (x, iterations, residual, converged), where the residual
+    Returns (x, iterations, residual, converged), where the residual
     is the norm of the one the recurrence carries: it follows rhs - A x up
     to roundoff, and costs no further application of the operator.  A
     caller that needs the true residual recomputes it.
@@ -758,9 +739,8 @@ def cg(
     res = math.sqrt(r @ r)
     if res <= tol:
         return x, 0, res, True
-    z = r if precond_diag is None else r / precond_diag
-    p = z.copy()
-    rz = float(r @ z)
+    p = r.copy()
+    rz = float(r @ r)
     it = 0
     for it in range(1, max_iter + 1):
         Ap = apply_op(p)
@@ -773,9 +753,8 @@ def cg(
         res = math.sqrt(r @ r)
         if res <= tol:
             break
-        z = r if precond_diag is None else r / precond_diag
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        rz_new = float(r @ r)
+        p = r + (rz_new / rz) * p
         rz = rz_new
     return x, it, res, res <= tol
 
@@ -801,9 +780,7 @@ def newton_direction(
     rhs2 = -state.grad_b
     rhs = rhs1 - (workspace.sigma * rhs2 / workspace.denom) * workspace.ajy
     max_iter = cg_max_iter if cg_max_iter is not None else SncgConfig.cg_max_iter
-    d_vec, iters, resid, ok = cg(
-        workspace.apply, rhs, tol, max_iter, precond_diag=workspace.precond
-    )
+    d_vec, iters, resid, ok = cg(workspace.apply, rhs, tol, max_iter)
     if not np.isfinite(d_vec).all():
         raise FloatingPointError("non-finite Newton direction")
     d_b = workspace.recover_db(rhs2, d_vec)
@@ -884,9 +861,7 @@ def line_search(
 class SubproblemStats:
     grad_norms: list = field(default_factory=list)
     phi_values: list = field(default_factory=list)
-    alpha_sizes: list = field(default_factory=list)
     cg_iters: list = field(default_factory=list)
-    step_sizes: list = field(default_factory=list)
 
     @property
     def total_cg(self) -> int:
@@ -955,7 +930,6 @@ def solve_subproblem(
     for i in range(config.max_newton_iter + 1):
         stats.grad_norms.append(state.grad_norm)
         stats.phi_values.append(state.phi)
-        stats.alpha_sizes.append(state.alpha_size)
         fired, why = stop(state, i)
         if fired or state.grad_norm == 0.0:
             converged = True
@@ -990,7 +964,6 @@ def solve_subproblem(
             break
         W = W + alpha * d_W
         b = b + alpha * d_b
-        stats.step_sizes.append(alpha)
         AW = step["Ad"]  # A W + alpha A d, formed in the block of A d
         AW *= alpha
         AW += state.AW

@@ -141,6 +141,46 @@ class TestReport:
             assert sol.report.j1_size == 0
 
 
+def _run(solver, train, hyper, budget=None, reference_obj=None, **stop):
+    """One solve by ``solver`` ("alm", "ispadmm" or "sgs") with the stop
+    settings every config shares, and an iteration budget if given."""
+    if solver == "alm":
+        cfg = alm.AlmConfig(reference_obj=reference_obj, **stop)
+        if budget is not None:
+            cfg.max_outer_iter = budget
+        return alm.solve(train, hyper, cfg)
+    cfg = admm.AdmmConfig(**stop)
+    if budget is not None:
+        cfg.max_iter = budget
+    run = admm.solve_ispadmm if solver == "ispadmm" else admm.solve_sgs_ispadmm
+    return run(train, hyper, cfg, reference_obj=reference_obj)
+
+
+@pytest.mark.parametrize("solver", ["alm", "ispadmm", "sgs"])
+class TestSharedStop:
+    def test_zero_budget_reports_the_start_point(self, instance, solver):
+        train, hyper, _ = instance
+        sol = _run(solver, train, hyper, budget=0)
+        rep = sol.report
+        assert rep.n_outer == 0 and rep.converged is False
+        assert rep.eta_kkt == kkt_residual(train, hyper, sol.primal, sol.dual).eta
+
+    def test_relobj_stop(self, instance, solver):
+        train, hyper, ref = instance
+        sol = _run(
+            solver, train, hyper, reference_obj=ref.report.objective, kkt_tol=1e-14, relobj_tol=1e-3
+        )
+        rep = sol.report
+        assert "stopped-on-relobj" in rep.flags
+        assert rep.converged and rep.relobj <= 1e-3
+
+    def test_time_limit_stop(self, instance, solver):
+        train, hyper, _ = instance
+        rep = _run(solver, train, hyper, kkt_tol=1e-14, time_limit=0.0).report
+        assert rep.n_outer == 1 and "time-limit" in rep.flags
+        assert not rep.converged
+
+
 class TestMultiplierDirections:
     def test_updates_equal_constraint_residuals(self, instance):
         # one sGS iteration from the origin: multiplier steps must equal

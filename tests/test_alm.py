@@ -29,11 +29,6 @@ class TestCriteria:
     def test_zero_gradient_satisfies_both(self):
         data = alm.CriterionData(grad_norm=0.0, x_norm=5.0, z_norm=3.0, w_norm=2.0, dz_norm=1.0)
         assert alm.criterion_A(data, eps_k=0.1, sigma=1.0)
-        assert alm.criterion_B(data, eta_k=0.1, sigma=1.0)
-
-    def test_b_with_stalled_multiplier_requires_zero_gradient(self):
-        data = alm.CriterionData(grad_norm=1e-12, x_norm=1.0, z_norm=1.0, w_norm=1.0, dz_norm=0.0)
-        assert not alm.criterion_B(data, eta_k=0.5, sigma=1.0)
 
     def test_bound_sequence_summable(self, small_synth):
         train, _, _ = small_synth
@@ -42,18 +37,6 @@ class TestCriteria:
         # geometric eps_k makes the per-iteration bounds summable
         bounds = [cfg.eps0 * cfg.eps_ratio**k for k in range(sol.report.n_outer)]
         assert sum(bounds) < 2 * cfg.eps0 / (1 - cfg.eps_ratio)
-
-    def test_criterion_modes_accepted(self, rng):
-        ds = random_dataset(rng, 60, 3, 3)
-        for mode in ("A", "B", "both"):
-            cfg = alm.AlmConfig(kkt_tol=1e-7, criterion=mode)
-            sol = alm.solve(ds, Hyperparams(C=0.5, tau=0.5), cfg)
-            assert sol.report.converged, mode
-            assert sol.report.eta_kkt <= 1e-7
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            alm.AlmConfig(criterion="C")
 
 
 class TestSigmaUpdate:

@@ -94,7 +94,8 @@ class TestTrain:
         )
         assert abs(res.eta - rep["eta_kkt"]) <= 1e-12 * max(1.0, rep["eta_kkt"])
 
-    def test_ispadmm_with_reference_reports_relobj(self, ws):
+    @staticmethod
+    def _train_with_reference(ws, solver):
         root, train, _ = ws
         ref_report = str(root / "ref.json")
         rc = cli.main(
@@ -102,14 +103,23 @@ class TestTrain:
              "--tol", "1e-8", "--report", ref_report]
         )
         assert rc == cli.EXIT_OK
-        report = str(root / "isp.json")
+        report = str(root / f"{solver}.json")
         rc = cli.main(
-            ["train", "--data", train, "--C", "1", "--tau", "1", "--solver", "ispadmm",
+            ["train", "--data", train, "--C", "1", "--tau", "1", "--solver", solver,
              "--tol", "1e-6", "--reference", ref_report, "--report", report]
         )
         assert rc == cli.EXIT_OK
-        rep = json.load(open(report))
+        return json.load(open(report))
+
+    def test_ispadmm_with_reference_reports_relobj(self, ws):
+        rep = self._train_with_reference(ws, "ispadmm")
         assert rep["relobj"] is not None and rep["relobj"] <= 1e-6
+
+    def test_alm_with_reference_reports_relobj(self, ws):
+        # the solver's own report: --reference sets no Relobj stop for alm
+        rep = self._train_with_reference(ws, "alm")
+        assert rep["relobj"] is not None and rep["relobj"] <= 1e-6
+        assert "stopped-on-relobj" not in rep["flags"]
 
     def test_unknown_solver_usage_error(self, ws):
         root, train, _ = ws

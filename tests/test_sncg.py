@@ -409,29 +409,6 @@ class TestSolveSubproblem:
             assert g[-1] <= 0.5 * g[-2]
 
 
-class TestPreconditioner:
-    def test_preconditioned_direction_matches_plain(self, rng):
-        ctx = make_context(rng, n=30, p=4, q=4, sigma=3.0)
-        W = rng.standard_normal((4, 4))
-        state = sncg.compute_state(ctx, W, 0.2)
-        plain_ws = sncg.NewtonWorkspace(ctx, state, sncg.SncgConfig())
-        pc_ws = sncg.NewtonWorkspace(
-            ctx, state, sncg.SncgConfig(use_jacobi_precond=True)
-        )
-        assert pc_ws.precond is not None and np.all(pc_ws.precond > 0)
-        d1, db1, _, r1 = sncg.newton_direction(ctx, W, 0.2, plain_ws, 1e-11, state=state)
-        d2, db2, _, r2 = sncg.newton_direction(ctx, W, 0.2, pc_ws, 1e-11, state=state)
-        assert r1 <= 1e-11 and r2 <= 1e-11
-        np.testing.assert_allclose(d2, d1, atol=1e-9)
-        assert db2 == pytest.approx(db1, abs=1e-9)
-
-    def test_solver_converges_with_preconditioning(self, rng):
-        ctx = make_context(rng, n=40, p=4, q=5)
-        cfg = sncg.SncgConfig(use_jacobi_precond=True)
-        res = sncg.solve_subproblem(ctx, np.zeros((4, 5)), 0.0, grad_tol_stop(1e-9), cfg)
-        assert res.converged
-
-
 class TestQuadraticVariant:
     def test_proximal_subproblem_gradient(self, rng):
         # the shifted-quadratic variant used by the ADMM baseline
