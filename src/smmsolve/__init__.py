@@ -21,7 +21,7 @@ from .problem import (
 )
 from .alm import AlmConfig, Solution, SolveReport, StartPoint, solve
 from .admm import AdmmConfig, solve_ispadmm, solve_sgs_ispadmm, warm_start
-from .sieving import PathConfig, PathPoint, solve_path
+from .sieving import PathConfig, PathPoint, solve_path, warm_path
 from .data import Model, SynthSpec, accuracy, gen_synthetic, load_dataset, predict, save_dataset
 
 __version__ = "0.1.0"
@@ -50,6 +50,7 @@ __all__ = [
     "PathConfig",
     "PathPoint",
     "solve_path",
+    "warm_path",
     "Model",
     "SynthSpec",
     "accuracy",

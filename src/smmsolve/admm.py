@@ -12,7 +12,7 @@ more of them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,10 @@ __all__ = ["AdmmConfig", "solve_ispadmm", "solve_sgs_ispadmm", "warm_start"]
 
 # Outer iterations of the inner augmented Lagrangian in one ISPADMM step.
 INNER_MAX_OUTER = 30
+# The dual step length, in (0, (1 + sqrt 5) / 2), and the proximal weight
+# on b in ISPADMM's (W, b) subproblem, > 0.
+ZETA = 1.618
+DELTA_PROX = 1e-6
 
 
 @dataclass
@@ -41,26 +45,21 @@ class AdmmConfig:
 
     The subproblem error caps are ``(1 + sqrt(n)) / (k^2 + 1)``, a summable
     sequence.  ``kkt_tol`` may be None to disable the KKT stop (fixed
-    iteration budgets).  The stop test and the report are ``alm``'s.
+    iteration budgets).  The stop test and the report are ``alm``'s.  The
+    fixed constants are ``ZETA`` and ``DELTA_PROX``; ISPADMM's inner Newton
+    solves take ``sncg.SncgConfig()``.
     """
 
     gamma: float = 1.0
-    zeta: float = 1.618
     max_iter: int = 30000
-    delta_prox: float = 1e-6
     kkt_tol: float | None = 1e-6
     relobj_tol: float | None = None
     time_limit: float | None = None
-    inner: sncg.SncgConfig = field(default_factory=sncg.SncgConfig)
     track_history: bool = True
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if not 0 < self.zeta < (1 + np.sqrt(5)) / 2:
-            raise ValueError("zeta must lie in (0, (1+sqrt(5))/2)")
-        if self.delta_prox <= 0:
-            raise ValueError("delta_prox must be positive")
 
     def eps_bar(self, k: int, n: int) -> float:
         return (1.0 + np.sqrt(n)) / (k * k + 1.0)
@@ -90,7 +89,7 @@ def _solve_quad_hinge(
     b_center: float,
     err_cap: float,
     warm: tuple,
-    config: AdmmConfig,
+    gamma: float,
     AW: np.ndarray | None = None,
     base: sncg.AdjointSplit | None = None,
 ) -> _InnerResult:
@@ -109,7 +108,7 @@ def _solve_quad_hinge(
     hyper0 = Hyperparams(C=C, tau=0.0)
     # The declared error weights the blocks by 1/gamma and 1/delta, so a
     # gradient below this threshold keeps the weighted square under the cap.
-    grad_tol = np.sqrt(err_cap * min(config.gamma, config.delta_prox) / 2.0)
+    grad_tol = np.sqrt(err_cap * min(gamma, DELTA_PROX) / 2.0)
     feas_cap = np.sqrt(err_cap) / (1.0 + C * np.sqrt(n))
     err_sq = np.inf
     feas = np.inf
@@ -132,7 +131,7 @@ def _solve_quad_hinge(
         def stop(state, _i, _tol=grad_tol):
             return state.grad_norm <= _tol, "gradient"
 
-        sub = sncg.solve_subproblem(ctx, W, b, stop, config.inner, AW0=AW, base=base)
+        sub = sncg.solve_subproblem(ctx, W, b, stop, AW0=AW, base=base)
         AW, base, j1_size = sub.state.AW, sub.state.split, sub.state.j1.size
         fresh = sub.fresh_AW
         W, b, v = sub.W, sub.b, sub.v
@@ -140,8 +139,8 @@ def _solve_quad_hinge(
         # grad at (W, b) with the box projection equals the subproblem
         # stationarity residual at lam_new.
         err_sq = (
-            np.sum(sub.state.grad_W**2) / config.gamma
-            + sub.state.grad_b**2 / config.delta_prox
+            np.sum(sub.state.grad_W**2) / gamma
+            + sub.state.grad_b**2 / DELTA_PROX
         )
         feas = float(np.linalg.norm(lam_new - lam) / sigma)
         lam = lam_new
@@ -160,14 +159,13 @@ def solve_ispadmm(
     config: AdmmConfig | None = None,
     reference_obj: float | None = None,
     init: tuple[PrimalPoint, DualPoint] | None = None,
-    max_iter: int | None = None,
 ) -> Solution:
     """Inexact semi-proximal ADMM on the single-constraint form W = U."""
     if config is None:
         config = AdmmConfig()
     t0 = time.perf_counter()
     p, q, n = dataset.p, dataset.q, dataset.n_samples
-    gamma, zeta = config.gamma, config.zeta
+    gamma = config.gamma
     if init is None:
         W = np.zeros((p, q))
         b = 0.0
@@ -194,9 +192,8 @@ def solve_ispadmm(
     At_lam = base = None
     j1_size = 0
     k_bar = 0
-    limit = config.max_iter if max_iter is None else max_iter
     it = 0
-    for it in range(1, limit + 1):
+    for it in range(1, config.max_iter + 1):
         target = (gamma * U - Lam) / (1.0 + gamma)
         cap = config.eps_bar(it - 1, n)
         inner = _solve_quad_hinge(
@@ -204,11 +201,11 @@ def solve_ispadmm(
             hyper.C,
             a_w=1.0 + gamma,
             target=target,
-            a_b=config.delta_prox,
+            a_b=DELTA_PROX,
             b_center=b,
             err_cap=cap,
             warm=(W, b, lam, inner_sigma),
-            config=config,
+            gamma=gamma,
             AW=AW,
             base=base,
         )
@@ -220,7 +217,7 @@ def solve_ispadmm(
         j1_size = inner.j1_size
         nuc = prox.prox_nuclear(gamma * W + Lam, hyper.tau)
         U, k_bar = nuc.Y / gamma, nuc.k_bar
-        Lam = Lam + zeta * gamma * (W - U)
+        Lam = Lam + ZETA * gamma * (W - U)
 
         AW = inner.AW if inner.AW is not None else apply_A(dataset, W)
         At_lam = apply_A_adjoint(dataset, lam)
@@ -265,7 +262,7 @@ def solve_sgs_ispadmm(
         config = AdmmConfig()
     t0 = time.perf_counter()
     p, q, n = dataset.p, dataset.q, dataset.n_samples
-    gamma, zeta = config.gamma, config.zeta
+    gamma = config.gamma
     y = dataset.labels
     signed = dataset.flat_features * y[:, None]  # rows y_i vec(X_i)
 
@@ -310,8 +307,8 @@ def solve_sgs_ispadmm(
         U, k_bar = nuc.Y / gamma, nuc.k_bar
         r_lam = Aw + b * y + v - 1.0
         r_Lam = W - U
-        lam = lam + zeta * gamma * r_lam
-        Lam = Lam + zeta * gamma * r_Lam
+        lam = lam + ZETA * gamma * r_lam
+        Lam = Lam + ZETA * gamma * r_Lam
 
         # signed @ w_vec is apply_A(dataset, W) to the bit: y_i = +-1
         res = kkt_residual(dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam), Aw)
@@ -325,7 +322,7 @@ def solve_sgs_ispadmm(
                     "w_update_resid": w_resid,
                     "w_update_cap": cap,
                     "multiplier_step": float(
-                        np.sqrt(np.sum(r_lam**2) + np.sum(r_Lam**2)) * zeta * gamma
+                        np.sqrt(np.sum(r_lam**2) + np.sum(r_Lam**2)) * ZETA * gamma
                     ),
                     "time": time.perf_counter() - t0,
                 }
@@ -347,15 +344,14 @@ def warm_start(
     dataset: Dataset,
     hyper: Hyperparams,
     n_iters: int,
-    config: AdmmConfig | None = None,
 ) -> tuple[DualPoint, PrimalPoint]:
-    """A few ADMM iterations from the origin, as a Newton-solver start."""
+    """``n_iters`` ISPADMM iterations from the origin, as a Newton-solver
+    start."""
     if n_iters < 0:
         raise ValueError("n_iters must be nonnegative")
     if n_iters == 0:
         return DualPoint.zeros(dataset), PrimalPoint.zeros(dataset)
-    if config is None:
-        config = AdmmConfig(kkt_tol=None, track_history=False)
-    sol = solve_ispadmm(dataset, hyper, config, max_iter=n_iters)
+    config = AdmmConfig(max_iter=n_iters, kkt_tol=None, track_history=False)
+    sol = solve_ispadmm(dataset, hyper, config)
     return sol.dual, sol.primal
 

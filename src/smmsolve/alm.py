@@ -40,7 +40,6 @@ __all__ = [
     "StartPoint",
     "SolveReport",
     "Solution",
-    "CriterionData",
     "criterion_A",
     "sigma_update",
     "solve",
@@ -53,6 +52,12 @@ __all__ = [
 # starts (6e4 to 1.5e5) took up to 1.5x the fixed rule's time to reach
 # 1e-6; capped, one of those points took 1.1-1.2x and the rest less.
 NUCLEAR_SIGMA0_CAP = 1e3
+# The penalty grows by SIGMA_GROWTH (> 1) when feasibility stalls, and the
+# k-th subproblem is solved to the accuracy EPS0 * EPS_RATIO**k, with
+# EPS_RATIO in (0, 1): a geometric, hence summable, sequence.
+SIGMA_GROWTH = 5.0
+EPS0 = 0.1
+EPS_RATIO = 0.5
 
 
 @dataclass
@@ -71,8 +76,8 @@ class AlmConfig:
     to ``NUCLEAR_SIGMA0_CAP``.  The rule never starts below the fixed
     ``min(10, max(1, 1/C))``, which it returns where features are large.
     An explicit ``sigma0`` wins; it must be positive and at most
-    ``sigma_max``.  The accuracy
-    sequence ``eps0 * eps_ratio**k`` is geometric (hence summable).
+    ``sigma_max``.  The penalty's growth factor and the accuracy sequence
+    are the module constants ``SIGMA_GROWTH``, ``EPS0`` and ``EPS_RATIO``.
     ``stop_mode`` switches the termination measure between the normalized
     KKT residual and the raw residual norms.  ``reference_obj`` alone only
     reports the relative objective gap; with ``relobj_tol`` it also stops
@@ -83,9 +88,6 @@ class AlmConfig:
     max_outer_iter: int = 500
     sigma0: float | None = None
     sigma_max: float = 1e6
-    sigma_growth: float = 5.0
-    eps0: float = 0.1
-    eps_ratio: float = 0.5
     stop_mode: str = "normalized"
     retry_limit: int = 3
     reference_obj: float | None = None
@@ -100,10 +102,6 @@ class AlmConfig:
             raise ValueError("sigma_max must be positive")
         if self.sigma0 is not None and not 0 < self.sigma0 <= self.sigma_max:
             raise ValueError("sigma0 must lie in (0, sigma_max]")
-        if self.sigma_growth <= 1:
-            raise ValueError("sigma_growth must exceed 1")
-        if not 0 < self.eps_ratio < 1:
-            raise ValueError("eps_ratio must lie in (0, 1)")
 
     def resolve_sigma0(self, dataset: Dataset, hyper: Hyperparams) -> float:
         """The initial penalty for ``dataset`` at ``hyper``."""
@@ -166,31 +164,20 @@ class Solution:
     report: SolveReport
 
 
-@dataclass
-class CriterionData:
-    """Quantities entering the inexactness bounds at a candidate iterate."""
-
-    grad_norm: float
-    x_norm: float
-    z_norm: float
-    w_norm: float
-    dz_norm: float
-
-
-def _common_factor(data: CriterionData, sigma: float) -> float:
-    chi = data.w_norm + data.dz_norm / sigma + 1.0 / sigma
+def criterion_A(
+    grad_norm: float, x_norm: float, z_norm: float, w_norm: float, dz_norm: float,
+    eps_k: float, sigma: float,
+) -> bool:
+    """The inexact rule: gradient below a summable bound, taken at the norms
+    of a candidate iterate x, its multipliers z, W and the step dz of z."""
+    chi = w_norm + dz_norm / sigma + 1.0 / sigma
     factor = min(1.0 / chi, 1.0) if chi > 0 else 1.0
-    return factor / (1.0 + data.x_norm + data.z_norm)
-
-
-def criterion_A(data: CriterionData, eps_k: float, sigma: float) -> bool:
-    """The inexact rule: gradient below a summable bound."""
-    return data.grad_norm <= (eps_k**2 / sigma) * _common_factor(data, sigma)
+    return grad_norm <= (eps_k**2 / sigma) * (factor / (1.0 + x_norm + z_norm))
 
 
 def _grow(sigma: float, config: AlmConfig) -> float:
     """One growth step, capped at ``sigma_max``; never lowers ``sigma``."""
-    return max(sigma, min(sigma * config.sigma_growth, config.sigma_max))
+    return max(sigma, min(sigma * SIGMA_GROWTH, config.sigma_max))
 
 
 def sigma_update(sigma: float, config: AlmConfig, feas_prev: float | None, feas_new: float) -> float:
@@ -217,14 +204,7 @@ def _criterion_closure(ctx: sncg.SubproblemContext, z_Lam, eps_k):
         d_Lam = state.Lam_new - z_Lam
         z_norm = math.sqrt(state.lam_new_norm**2 + np.vdot(state.Lam_new, state.Lam_new))
         dz = math.sqrt(state.lam_step_norm**2 + np.vdot(d_Lam, d_Lam))
-        data = CriterionData(
-            grad_norm=gn,
-            x_norm=x_norm,
-            z_norm=z_norm,
-            w_norm=math.sqrt(w_sq),
-            dz_norm=dz,
-        )
-        return criterion_A(data, eps_k, sigma), "criterion-A"
+        return criterion_A(gn, x_norm, z_norm, math.sqrt(w_sq), dz, eps_k, sigma), "criterion-A"
 
     return stop
 
@@ -296,7 +276,7 @@ def solve(
     base = None
 
     while outer < config.max_outer_iter:
-        eps_k = config.eps0 * config.eps_ratio**outer
+        eps_k = EPS0 * EPS_RATIO**outer
         ctx = sncg.SubproblemContext(
             dataset=dataset,
             hyper=hyper,

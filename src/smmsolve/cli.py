@@ -15,16 +15,7 @@ import time
 import numpy as np
 
 from . import admm, alm, data, sieving
-from .problem import (
-    DataError,
-    Dataset,
-    DualPoint,
-    Hyperparams,
-    PrimalPoint,
-    classify_samples,
-    kkt_residual,
-    primal_objective,
-)
+from .problem import DataError, Hyperparams, classify_samples
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -224,64 +215,34 @@ def cmd_path(args) -> int:
         grid = np.linspace(args.c_min, args.c_max, args.grid_points)
     grid = np.unique(grid)
 
-    rows = []
-    failed = False
+    cfg = sieving.PathConfig(
+        grid=tuple(grid), tau=args.tau, eps=args.eps, eps_hat=args.eps_hat, d_max=args.dmax
+    )
+    run = sieving.solve_path if args.strategy == "as" else sieving.warm_path
     t0 = time.perf_counter()
-    if args.strategy == "as":
-        cfg = sieving.PathConfig(
-            grid=tuple(grid),
-            tau=args.tau,
-            eps=args.eps,
-            eps_hat=args.eps_hat,
-            d_max=args.dmax,
+    try:
+        points = run(ds, cfg)
+    except sieving.SievingError as exc:
+        print(f"non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGED
+    rows = []
+    for pt in points:
+        cls = classify_samples(pt.solution.dual.lam, pt.C)
+        rows.append(
+            {
+                "C": pt.C,
+                "eta_kkt": pt.eta_kkt,
+                "raw_max": max(pt.raw_errors.values()),
+                "objective": pt.solution.report.objective,
+                "sm_count": cls.sm_count,
+                "asm_count": cls.asm_count,
+                "rounds": pt.rounds,
+                "active_sizes": pt.active_sizes,
+                "time": pt.wall_time,
+            }
         )
-        try:
-            points = sieving.solve_path(ds, cfg)
-        except sieving.SievingError as exc:
-            print(f"non-convergence: {exc}", file=sys.stderr)
-            return EXIT_NONCONVERGED
-        for pt in points:
-            cls = classify_samples(pt.solution.dual.lam, pt.C)
-            rows.append(
-                {
-                    "C": pt.C,
-                    "eta_kkt": pt.eta_kkt,
-                    "raw_max": max(pt.raw_errors.values()),
-                    "objective": pt.solution.report.objective,
-                    "sm_count": cls.sm_count,
-                    "asm_count": cls.asm_count,
-                    "rounds": pt.rounds,
-                    "active_sizes": pt.active_sizes,
-                    "time": pt.wall_time,
-                }
-            )
-            _maybe_save_point_model(args, pt.C, pt.solution)
-    else:
-        warm = None
-        for C in grid:
-            hyper = Hyperparams(C=float(C), tau=args.tau)
-            cfg = alm.AlmConfig(kkt_tol=args.eps, stop_mode="raw")
-            t1 = time.perf_counter()
-            sol = alm.solve(ds, hyper, cfg, init=warm)
-            if not sol.report.converged:
-                failed = True
-            cls = classify_samples(sol.dual.lam, hyper.C)
-            rows.append(
-                {
-                    "C": float(C),
-                    "eta_kkt": sol.report.eta_kkt,
-                    "raw_max": max(sol.report.raw_components.values()),
-                    "objective": sol.report.objective,
-                    "sm_count": cls.sm_count,
-                    "asm_count": cls.asm_count,
-                    "rounds": 0,
-                    "time": time.perf_counter() - t1,
-                }
-            )
-            warm = alm.StartPoint(
-                W=sol.primal.W, b=sol.primal.b, lam=sol.dual.lam, Lam=sol.dual.Lam
-            )
-            _maybe_save_point_model(args, float(C), sol)
+        _maybe_save_point_model(args, pt.C, pt.solution)
+    failed = not all(pt.solution.report.converged for pt in points)
 
     if args.report:
         payload = {

@@ -246,6 +246,11 @@ def _load_csv(path: str, shape: tuple[int, int] | None) -> Dataset:
                 vals = np.array([float(x) for x in parts], dtype=np.float64)
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
+            if rows and vals.size != rows[0].size + 1:
+                raise FormatError(
+                    f"line {lineno}: {vals.size} fields, expected {rows[0].size + 1}"
+                    " as on the first row"
+                )
             labels.append(vals[0])
             rows.append(vals[1:])
     if not rows:

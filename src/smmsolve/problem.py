@@ -6,10 +6,10 @@ A support matrix machine (SMM) classifies matrix-valued samples
     0.5 * ||W||_F^2 + tau * ||W||_*  +  C * sum_i max(1 - y_i (<X_i, W> + b), 0)
 
 over a regression matrix ``W`` and offset ``b``.  This module holds the
-dataset container, the sample operator ``A`` (and its adjoint and
-restrictions), the primal/dual objectives, the relative KKT residual used
-as the common stopping measure, and the support/active-support sample
-classification.
+dataset container, the sample operator ``A``, its adjoint and its
+restriction to a set of rows, the primal/dual objectives, the relative
+KKT residual used as the common stopping measure, and the
+support/active-support sample classification.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "apply_A",
     "apply_A_adjoint",
     "apply_A_restricted",
-    "apply_A_adjoint_restricted",
     "primal_objective",
     "dual_objective",
     "kkt_residual",
@@ -256,19 +255,6 @@ def apply_A_restricted(dataset: Dataset, indices, W: np.ndarray) -> np.ndarray:
     if idx.size == 0:
         return np.zeros(0)
     return (dataset.flat_features[idx] @ W.ravel()) * dataset.labels[idx]
-
-
-def apply_A_adjoint_restricted(dataset: Dataset, indices, z_sub: np.ndarray) -> np.ndarray:
-    """Zero-extended adjoint: ``sum_{j in I} z_j y_j X_j``."""
-    idx = _check_indices(indices, dataset.n_samples)
-    z_sub = np.asarray(z_sub, dtype=np.float64).ravel()
-    if z_sub.shape[0] != idx.size:
-        raise ValueError(f"z has length {z_sub.shape[0]}, expected {idx.size}")
-    if idx.size == 0:
-        return np.zeros((dataset.p, dataset.q))
-    return (dataset.flat_features[idx].T @ (z_sub * dataset.labels[idx])).reshape(
-        dataset.p, dataset.q
-    )
 
 
 def primal_objective(

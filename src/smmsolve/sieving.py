@@ -1,17 +1,18 @@
-"""Adaptive sieving: solution paths over an increasing grid of hinge
-weights by solving reduced problems on active-sample subsets.
+"""Solution paths over an increasing grid of hinge weights C.
 
-Each grid point starts from the margin-based active set of the previous
-one, solves the restricted model to a raw-residual tolerance, and expands
-the set with violated outside samples (largest slack first, capped per
-round) until none remain.  The extended tuple is then an approximate KKT
-point of the full problem with the same componentwise error bound.
+Adaptive sieving (``solve_path``) solves reduced problems on active-sample
+subsets.  Each grid point starts from the margin-based active set of the
+previous one, solves the restricted model to a raw-residual tolerance, and
+expands the set with violated outside samples (largest slack first, capped
+per round) until none remain.  The extended tuple is then an approximate
+KKT point of the full problem with the same componentwise error bound.
+``warm_path``, the reference, makes full solves warm-started along the grid.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "violation_set",
     "expand",
     "solve_path",
+    "warm_path",
 ]
 
 
@@ -45,26 +47,26 @@ class SievingError(RuntimeError):
 class PathConfig:
     """Grid and accuracy settings for one path run.
 
-    ``grid`` must be strictly increasing; ``c0`` (default: the first grid
-    value) fixes the model solved to initialize the active set.  ``eps``
-    bounds the six raw KKT residual norms of every reduced solve, and
-    ``eps_hat`` widens the margin set carried to the next grid point.
+    ``grid`` must be finite, positive and strictly increasing; the full
+    solve that initializes the active set is at its first value.  ``eps``
+    bounds the six raw KKT residual norms of every solve, ``eps_hat``
+    widens the margin set carried to the next grid point, and ``d_max``
+    caps the violated samples added in one sieving round.  ``warm_path``
+    reads only ``grid``, ``tau`` and ``eps``.
     """
 
     grid: tuple
     tau: float
-    c0: float | None = None
     eps: float = 1e-6
     eps_hat: float = 0.05
     d_max: int = 500
-    alm_config: alm.AlmConfig = field(default_factory=alm.AlmConfig)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=np.float64)
-        if g.size == 0 or g.min() <= 0 or np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be strictly increasing and positive")
-        if self.eps < 0 or self.eps_hat < 0:
-            raise ValueError("eps and eps_hat must be nonnegative")
+        if g.size == 0 or not np.isfinite(g).all() or g.min() <= 0 or np.any(np.diff(g) <= 0):
+            raise ValueError("grid must be finite, positive and strictly increasing")
+        if not (0 <= self.eps < np.inf and 0 <= self.eps_hat < np.inf):
+            raise ValueError("eps and eps_hat must be finite and nonnegative")
         if self.d_max < 1:
             raise ValueError("d_max must be at least 1")
         self.grid = tuple(float(c) for c in g)
@@ -73,7 +75,8 @@ class PathConfig:
 @dataclass
 class PathPoint:
     """One grid point: the full-dimension extended solution plus sieving
-    diagnostics."""
+    diagnostics (``rounds = 0`` and no ``active_sizes`` from
+    ``warm_path``)."""
 
     C: float
     solution: alm.Solution
@@ -90,10 +93,9 @@ def initial_active_set(dataset: Dataset, W: np.ndarray, b: float, eps_hat: float
     return np.flatnonzero(margins <= 1.0 + eps_hat)
 
 
-def _raw_config(alm_config: alm.AlmConfig | None, eps: float) -> alm.AlmConfig:
-    """``alm_config`` run to raw residuals <= eps."""
-    cfg = alm_config if alm_config is not None else alm.AlmConfig()
-    return replace(cfg, kkt_tol=eps, stop_mode="raw")
+def _raw_config(eps: float) -> alm.AlmConfig:
+    """The ALM settings of every path solve: raw residuals <= eps."""
+    return alm.AlmConfig(kkt_tol=eps, stop_mode="raw")
 
 
 def solve_reduced(
@@ -103,7 +105,6 @@ def solve_reduced(
     tau: float,
     eps: float,
     warm: alm.StartPoint | None = None,
-    alm_config: alm.AlmConfig | None = None,
 ) -> tuple[alm.Solution, dict]:
     """Solve the model restricted to ``indices`` to raw residuals <= eps.
 
@@ -115,8 +116,7 @@ def solve_reduced(
     if indices.size == 0:
         raise ValueError("reduced index set must be nonempty")
     sub = dataset.subset(indices)
-    cfg = _raw_config(alm_config, eps)
-    sol = alm.solve(sub, Hyperparams(C=C, tau=tau), cfg, init=warm)
+    sol = alm.solve(sub, Hyperparams(C=C, tau=tau), _raw_config(eps), init=warm)
     if not sol.report.converged:
         raise SievingError(
             f"reduced solve on |I|={indices.size} at C={C} stalled at "
@@ -165,33 +165,22 @@ def expand(indices: np.ndarray, violated: np.ndarray, v_full: np.ndarray, d_max:
     return np.union1d(np.asarray(indices, dtype=np.int64), picked)
 
 
-def solve_path(
-    dataset: Dataset,
-    config: PathConfig,
-    init_model: tuple[np.ndarray, float] | None = None,
-) -> list[PathPoint]:
-    """Generate the solution path over the grid.
+def solve_path(dataset: Dataset, config: PathConfig) -> list[PathPoint]:
+    """The path over the grid by adaptive sieving.
 
-    Without ``init_model`` the initializing model is computed by one full
-    solve at ``c0``.  Each grid point loops solve/violations/expand until
-    the violated set empties; more than n rounds would contradict finite
-    termination and raises.
+    One full solve at the first grid value gives the initial model, whose
+    margin set starts the first point.  Each grid point loops
+    solve/violations/expand until the violated set empties; more than n
+    rounds would contradict finite termination and raises.  A reduced or
+    initial solve that does not converge raises ``SievingError``.
     """
     n = dataset.n_samples
-    if init_model is not None:
-        W0, b0 = init_model
-        prev_active = initial_active_set(dataset, np.asarray(W0, float), float(b0), config.eps_hat)
-        warm_full = None
-    else:
-        c0 = config.c0 if config.c0 is not None else config.grid[0]
-        cfg = _raw_config(config.alm_config, config.eps)
-        base = alm.solve(dataset, Hyperparams(C=c0, tau=config.tau), cfg)
-        if not base.report.converged:
-            raise SievingError(f"initial solve at C0={c0} did not converge")
-        prev_active = initial_active_set(
-            dataset, base.primal.W, base.primal.b, config.eps_hat
-        )
-        warm_full = (base.primal, base.dual)
+    c0 = config.grid[0]
+    base = alm.solve(dataset, Hyperparams(C=c0, tau=config.tau), _raw_config(config.eps))
+    if not base.report.converged:
+        raise SievingError(f"initial solve at C0={c0} did not converge")
+    prev_active = initial_active_set(dataset, base.primal.W, base.primal.b, config.eps_hat)
+    prev = base
     if prev_active.size == 0:
         prev_active = np.arange(n, dtype=np.int64)
 
@@ -199,7 +188,9 @@ def solve_path(
     for C in config.grid:
         t0 = time.perf_counter()
         active = np.asarray(prev_active, dtype=np.int64)
-        warm = _restrict_warm(warm_full, active)
+        warm = alm.StartPoint(
+            W=prev.primal.W, b=prev.primal.b, lam=prev.dual.lam[active], Lam=prev.dual.Lam
+        )
         sizes = []
         rounds = 0
         while True:
@@ -207,10 +198,7 @@ def solve_path(
             if rounds > n:
                 raise SievingError("sieving exceeded n rounds; finite termination violated")
             sizes.append(int(active.size))
-            reduced, _ = solve_reduced(
-                dataset, active, C, config.tau, config.eps, warm=warm,
-                alm_config=config.alm_config,
-            )
+            reduced, _ = solve_reduced(dataset, active, C, config.tau, config.eps, warm=warm)
             violated, v_full, lam_full = violation_set(dataset, active, reduced, C)
             if violated.size == 0:
                 break
@@ -249,14 +237,24 @@ def solve_path(
         )
         if prev_active.size == 0:
             prev_active = np.arange(n, dtype=np.int64)
-        warm_full = (full_solution.primal, full_solution.dual)
+        prev = full_solution
     return points
 
 
-def _restrict_warm(warm_full, active: np.ndarray) -> alm.StartPoint | None:
-    if warm_full is None:
-        return None
-    primal, dual = warm_full
-    return alm.StartPoint(
-        W=primal.W, b=primal.b, lam=dual.lam[active], Lam=dual.Lam
-    )
+def warm_path(dataset: Dataset, config: PathConfig) -> list[PathPoint]:
+    """The path over the grid by full solves, each warm-started.
+
+    Every grid point is one ``alm.solve`` on all samples to raw residuals
+    <= ``config.eps``, started from the tuple of the point before (the
+    first from the origin).  A point that does not converge is kept, with
+    ``converged = False`` in its report, and the next starts from it.
+    """
+    points = []
+    warm = None
+    for C in config.grid:
+        t0 = time.perf_counter()
+        sol = alm.solve(dataset, Hyperparams(C=C, tau=config.tau), _raw_config(config.eps), init=warm)
+        rep, wall = sol.report, time.perf_counter() - t0
+        points.append(PathPoint(C, sol, [], 0, dict(rep.raw_components), rep.eta_kkt, wall))
+        warm = alm.StartPoint(W=sol.primal.W, b=sol.primal.b, lam=sol.dual.lam, Lam=sol.dual.Lam)
+    return points

@@ -122,6 +122,17 @@ INCREMENTAL_MAX_SHARE = 0.3
 # below 1/2, for the J1 rows to fit next to R in the row block.
 SCREEN_RADIUS = 2.0
 SCREEN_MAX_SHARE = 0.1
+# The method's constants, as the source paper fixes them.  The line search
+# tests Armijo's condition and backtracks; CG solves a Newton system to the
+# residual min(CG_TOL_CAP, ||grad||^(1 + CG_TOL_EXPONENT)) with the damping
+# DAMPING_SCALE * min(DAMPING_CAP, ||grad||) added to the operator.
+ARMIJO_MU = 0.1  # in (0, 1/2)
+BACKTRACK = 0.5  # in (0, 1)
+CG_TOL_CAP = 1e-2  # in (0, 1)
+CG_TOL_EXPONENT = 0.5  # in (0, 1]
+DAMPING_SCALE = 1e-3  # in (0, 1)
+DAMPING_CAP = 0.1  # in (0, 1)
+CG_MAX_ITER = 300
 
 
 def _norm(W: np.ndarray, b: float = 0.0) -> float:
@@ -223,30 +234,17 @@ class Screen:
 
 @dataclass
 class SncgConfig:
-    """Newton-CG parameters; defaults sit inside the permitted ranges."""
+    """The budgets of one subproblem: at most ``max_newton_iter`` Newton
+    steps (0 allowed) and ``ls_max_backtracks`` line-search trials per
+    step.  The method's other constants are fixed (``ARMIJO_MU`` to
+    ``CG_MAX_ITER``)."""
 
-    mu: float = 0.1  # Armijo constant, in (0, 1/2)
-    delta_ls: float = 0.5  # backtracking factor, in (0, 1)
-    eta_bar: float = 1e-2  # CG accuracy cap, in (0, 1)
-    varrho: float = 0.5  # superlinear exponent, in (0, 1]
-    tau1: float = 1e-3  # damping scale, in (0, 1)
-    tau2: float = 0.1  # damping cap, in (0, 1)
-    cg_max_iter: int = 300
     max_newton_iter: int = 100
     ls_max_backtracks: int = 50
 
     def __post_init__(self):
-        if not 0 < self.mu < 0.5:
-            raise ValueError("mu must lie in (0, 1/2)")
-        for name in ("delta_ls", "eta_bar", "tau1", "tau2"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if not 0 < self.varrho <= 1:
-            raise ValueError("varrho must lie in (0, 1]")
-        for name in ("cg_max_iter", "ls_max_backtracks"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        if self.ls_max_backtracks < 1:
+            raise ValueError("ls_max_backtracks must be at least 1")
         if self.max_newton_iter < 0:
             raise ValueError("max_newton_iter must be nonnegative")
 
@@ -674,9 +672,10 @@ class NewtonWorkspace:
     are the state's ``j1_rows`` when it has them (gathered into the
     subproblem's row block); otherwise they are gathered here.  They are
     unsigned: in A_J1* A_J1 and A_J1* y_J1 the labels y_j = +-1 cancel.
+    ``config`` is not read (the damping is fixed).
     """
 
-    def __init__(self, ctx: SubproblemContext, state: SubproblemState, config: SncgConfig):
+    def __init__(self, ctx: SubproblemContext, state: SubproblemState, config: SncgConfig | None = None):
         ds = ctx.dataset
         self.sigma = ctx.sigma
         self.a_w = ctx.w_weight
@@ -686,7 +685,7 @@ class NewtonWorkspace:
         self.aj = state.j1_rows
         if self.aj is None:
             self.aj = _gather(ds, self.j1, np.empty((self.j1.size, ds.p * ds.q)))
-        self.rho = config.tau1 * min(config.tau2, state.grad_norm)
+        self.rho = DAMPING_SCALE * min(DAMPING_CAP, state.grad_norm)
         self.denom = self.a_b + self.sigma * self.j1.size + self.rho
         self.ajy = self.aj.sum(axis=0)  # vec of A*_J1 y_J1
         self.spectral = (
@@ -766,9 +765,10 @@ def newton_direction(
     workspace: NewtonWorkspace,
     tol: float,
     state: SubproblemState | None = None,
-    cg_max_iter: int | None = None,
+    cg_max_iter: int = CG_MAX_ITER,
 ):
-    """Solve the reduced Newton system at (W, b) by CG.
+    """Solve the reduced Newton system at (W, b) by CG, in at most
+    ``cg_max_iter`` iterations.
 
     Eliminating d_b leaves one equation in d_W; d_b is recovered from the
     scalar row afterwards.  The residual bound ``tol`` applies to the
@@ -779,8 +779,7 @@ def newton_direction(
     rhs1 = -state.grad_W.ravel()
     rhs2 = -state.grad_b
     rhs = rhs1 - (workspace.sigma * rhs2 / workspace.denom) * workspace.ajy
-    max_iter = cg_max_iter if cg_max_iter is not None else SncgConfig.cg_max_iter
-    d_vec, iters, resid, ok = cg(workspace.apply, rhs, tol, max_iter)
+    d_vec, iters, resid, ok = cg(workspace.apply, rhs, tol, cg_max_iter)
     if not np.isfinite(d_vec).all():
         raise FloatingPointError("non-finite Newton direction")
     d_b = workspace.recover_db(rhs2, d_vec)
@@ -844,7 +843,7 @@ def line_search(
             vectors=evals == 0,
         )
         evals += 1
-        if trial <= state.phi + config.mu * alpha * g_dot_d or (
+        if trial <= state.phi + ARMIJO_MU * alpha * g_dot_d or (
             evals == 1 and abs(trial - state.phi) <= flat
         ):
             if products is not None:
@@ -852,16 +851,14 @@ def line_search(
                     svd = prox.full_svd(ctx.Lam_k + ctx.sigma * W_trial)
                 products.update(Ad=Ad, svd=svd)
             return alpha, evals, d_W, d_b, False
-        alpha *= config.delta_ls
+        alpha *= BACKTRACK
     # no Armijo step within the backtracking budget: numerically flat
     return alpha, evals, d_W, d_b, True
 
 
 @dataclass
 class SubproblemStats:
-    grad_norms: list = field(default_factory=list)
-    phi_values: list = field(default_factory=list)
-    cg_iters: list = field(default_factory=list)
+    cg_iters: list = field(default_factory=list)  # per Newton step
 
     @property
     def total_cg(self) -> int:
@@ -928,8 +925,6 @@ def solve_subproblem(
     reason = "max-newton-iterations"
     iterations = 0
     for i in range(config.max_newton_iter + 1):
-        stats.grad_norms.append(state.grad_norm)
-        stats.phi_values.append(state.phi)
         fired, why = stop(state, i)
         if fired or state.grad_norm == 0.0:
             converged = True
@@ -941,11 +936,9 @@ def solve_subproblem(
             break
         if i == config.max_newton_iter:
             break
-        ws = NewtonWorkspace(ctx, state, config)
-        tol_cg = min(config.eta_bar, state.grad_norm ** (1.0 + config.varrho))
-        d_W, d_b, cg_it, _ = newton_direction(
-            ctx, W, b, ws, tol_cg, state=state, cg_max_iter=config.cg_max_iter
-        )
+        ws = NewtonWorkspace(ctx, state)
+        tol_cg = min(CG_TOL_CAP, state.grad_norm ** (1.0 + CG_TOL_EXPONENT))
+        d_W, d_b, cg_it, _ = newton_direction(ctx, W, b, ws, tol_cg, state=state)
         stats.cg_iters.append(cg_it)
         d_W, d_b, _ = _descent(state, d_W, d_b)
         if not state.screen.fits(W, b, d_W, d_b):

@@ -27,16 +27,15 @@ def toy_margin_dataset(n=100, seed=0):
 
 class TestCriteria:
     def test_zero_gradient_satisfies_both(self):
-        data = alm.CriterionData(grad_norm=0.0, x_norm=5.0, z_norm=3.0, w_norm=2.0, dz_norm=1.0)
-        assert alm.criterion_A(data, eps_k=0.1, sigma=1.0)
+        assert alm.criterion_A(0.0, 5.0, 3.0, 2.0, 1.0, eps_k=0.1, sigma=1.0)
 
     def test_bound_sequence_summable(self, small_synth):
         train, _, _ = small_synth
         cfg = alm.AlmConfig(kkt_tol=1e-8)
         sol = alm.solve(train, Hyperparams(C=1.0, tau=1.0), cfg)
         # geometric eps_k makes the per-iteration bounds summable
-        bounds = [cfg.eps0 * cfg.eps_ratio**k for k in range(sol.report.n_outer)]
-        assert sum(bounds) < 2 * cfg.eps0 / (1 - cfg.eps_ratio)
+        bounds = [alm.EPS0 * alm.EPS_RATIO**k for k in range(sol.report.n_outer)]
+        assert sum(bounds) < 2 * alm.EPS0 / (1 - alm.EPS_RATIO)
 
 
 class TestSigmaUpdate:
@@ -45,11 +44,11 @@ class TestSigmaUpdate:
         assert alm.sigma_update(2.0, cfg, feas_prev=1.0, feas_new=0.4) == 2.0
 
     def test_stagnation_grows_sigma(self):
-        cfg = alm.AlmConfig(sigma_growth=5.0)
-        assert alm.sigma_update(2.0, cfg, feas_prev=1.0, feas_new=0.9) == 10.0
+        cfg = alm.AlmConfig()
+        assert alm.sigma_update(2.0, cfg, feas_prev=1.0, feas_new=0.9) == 2.0 * alm.SIGMA_GROWTH
 
     def test_growth_capped(self):
-        cfg = alm.AlmConfig(sigma_growth=5.0, sigma_max=8.0)
+        cfg = alm.AlmConfig(sigma_max=8.0)
         s = 2.0
         for _ in range(5):
             s = alm.sigma_update(s, cfg, feas_prev=1.0, feas_new=1.0)

@@ -132,6 +132,13 @@ class TestTrain:
                        "--C", "1", "--tau", "1"])
         assert rc == cli.EXIT_IO
 
+    def test_truncated_csv_io_error(self, tmp_path, capsys):
+        path = tmp_path / "cut.csv"
+        path.write_text("1,0.5,0.5,0.5,0.5\n-1,0.1,0.2,0.3,0.4\n1,0.3,0.1")
+        rc = cli.main(["train", "--data", str(path), "--C", "1", "--tau", "1"])
+        assert rc == cli.EXIT_IO
+        assert "line 3" in capsys.readouterr().err
+
     def test_failed_subproblem_exits_nonconverged(self, ws, monkeypatch):
         # a two-step Newton budget with no retries forces an accepted
         # subproblem failure; the solve may meet --tol but is not converged

@@ -169,6 +169,15 @@ class TestDatasetIO:
         with pytest.raises(DataError):
             sdata.load_dataset(path, shape=(2, 2))
 
+    @pytest.mark.parametrize("last", ["-1,0.1,0.2", "-1,0.1,0.2,0.3,0.4,0.5"])
+    def test_ragged_row_rejected_with_line_number(self, tmp_path, last):
+        # a cut or overlong last row, with the square shape left to infer
+        path = str(tmp_path / "cut.csv")
+        with open(path, "w") as fh:
+            fh.write("1,0.5,0.5,0.5,0.5\n-1,0.1,0.2,0.3,0.4\n" + last)
+        with pytest.raises(sdata.FormatError, match="line 3"):
+            sdata.load_dataset(path)
+
 
 class TestModelIO:
     def test_round_trip(self, tmp_path, rng):

@@ -10,7 +10,6 @@ from smmsolve.problem import (
     PrimalPoint,
     apply_A,
     apply_A_adjoint,
-    apply_A_adjoint_restricted,
     apply_A_restricted,
     classify_samples,
     dual_objective,
@@ -150,16 +149,10 @@ class TestRestriction:
         np.testing.assert_array_equal(
             apply_A_restricted(tiny_dataset, idx, W), apply_A(tiny_dataset, W)
         )
-        z = rng.standard_normal(6)
-        np.testing.assert_array_equal(
-            apply_A_adjoint_restricted(tiny_dataset, idx, z),
-            apply_A_adjoint(tiny_dataset, z),
-        )
 
     def test_empty_set(self, tiny_dataset):
         W = np.ones((3, 3))
         assert apply_A_restricted(tiny_dataset, [], W).size == 0
-        assert np.all(apply_A_adjoint_restricted(tiny_dataset, [], []) == 0.0)
 
     def test_random_subsets_match_selection(self, rng):
         ds = random_dataset(rng, 20, 3, 5)
@@ -170,14 +163,6 @@ class TestRestriction:
             # gemv blocking may differ between the gathered and full products
             np.testing.assert_allclose(
                 apply_A_restricted(ds, idx, W), full[idx], rtol=1e-13, atol=1e-15
-            )
-            z = rng.standard_normal(idx.size)
-            zfull = np.zeros(20)
-            zfull[idx] = z
-            np.testing.assert_allclose(
-                apply_A_adjoint_restricted(ds, idx, z),
-                apply_A_adjoint(ds, zfull),
-                atol=1e-12,
             )
 
     def test_out_of_range_raises(self, tiny_dataset):

@@ -162,34 +162,37 @@ class TestExpand:
         np.testing.assert_array_equal(out, [3, 5])
 
 
-class TestSolvePath:
-    def test_single_point_grid_with_trivial_init_equals_full_solve(self, synth):
-        cfg = sieving.PathConfig(grid=(1.0,), tau=1.0, eps=1e-7, eps_hat=0.05)
-        pts = sieving.solve_path(synth, cfg, init_model=(np.zeros((6, 8)), 0.0))
-        assert len(pts) == 1
-        assert pts[0].active_sizes[0] == synth.n_samples
-        full = alm.solve(
-            synth, Hyperparams(C=1.0, tau=1.0), alm.AlmConfig(kkt_tol=1e-7, stop_mode="raw")
-        )
-        rel = abs(pts[0].solution.report.objective - full.report.objective)
-        assert rel <= 1e-6 * (1.0 + abs(full.report.objective))
+class TestPathConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"grid": ()},
+            {"grid": (0.0, 1.0)},
+            {"grid": (1.0, 1.0)},
+            {"grid": (0.1, np.nan, 1.0)},
+            {"grid": (np.nan,)},
+            {"grid": (0.1, np.inf)},
+            {"grid": (1.0,), "eps": np.nan},
+            {"grid": (1.0,), "eps": np.inf},
+            {"grid": (1.0,), "eps": -1e-6},
+            {"grid": (1.0,), "eps_hat": np.nan},
+            {"grid": (1.0,), "d_max": 0},
+        ],
+    )
+    def test_invalid_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            sieving.PathConfig(tau=1.0, **kwargs)
 
+
+class TestSolvePath:
     def test_path_matches_warm_full_solves(self, synth):
         grid = tuple(np.logspace(-1, 0.5, 5))
         eps = 1e-6
         cfg = sieving.PathConfig(grid=grid, tau=1.0, eps=eps, eps_hat=0.05)
         pts = sieving.solve_path(synth, cfg)
-        warm = None
-        for pt in pts:
-            sol = alm.solve(
-                synth,
-                Hyperparams(C=pt.C, tau=1.0),
-                alm.AlmConfig(kkt_tol=eps, stop_mode="raw"),
-                init=warm,
-            )
-            warm = alm.StartPoint(
-                W=sol.primal.W, b=sol.primal.b, lam=sol.dual.lam, Lam=sol.dual.Lam
-            )
+        for pt, ref in zip(pts, sieving.warm_path(synth, cfg), strict=True):
+            assert ref.C == pt.C and ref.solution.report.converged
+            sol = ref.solution
             rel = abs(pt.solution.report.objective - sol.report.objective) / (
                 1.0 + abs(sol.report.objective)
             )
@@ -197,6 +200,25 @@ class TestSolvePath:
             # extended tuple is a full-problem KKT point up to the stated bound
             assert max(pt.raw_errors.values()) <= eps + 10 * eps
             assert pt.rounds <= 3
+
+    def test_warm_path_equals_chained_full_solves(self, small_synth):
+        train, _, _ = small_synth
+        cfg = sieving.PathConfig(grid=(0.3, 1.0, 3.0), tau=1.0, eps=1e-6)
+        pts = sieving.warm_path(train, cfg)
+        warm = None
+        for pt in pts:
+            sol = alm.solve(
+                train, Hyperparams(C=pt.C, tau=1.0),
+                alm.AlmConfig(kkt_tol=1e-6, stop_mode="raw"), init=warm,
+            )
+            warm = alm.StartPoint(
+                W=sol.primal.W, b=sol.primal.b, lam=sol.dual.lam, Lam=sol.dual.Lam
+            )
+            assert pt.solution.primal.W.tobytes() == sol.primal.W.tobytes()
+            assert pt.solution.report.objective == sol.report.objective
+            assert pt.raw_errors == sol.report.raw_components
+            assert pt.eta_kkt == sol.report.eta_kkt
+            assert pt.rounds == 0 and pt.active_sizes == []
 
     def test_margin_slack_never_increases_rounds(self):
         # widening the carried margin set can only reduce sieving work

@@ -25,6 +25,16 @@ def grad_tol_stop(tol):
     return stop
 
 
+def recording_stop(stop, values, attr):
+    """``stop``, appending ``getattr(state, attr)`` of every state it sees."""
+
+    def recorded(state, i):
+        values.append(getattr(state, attr))
+        return stop(state, i)
+
+    return recorded
+
+
 class TestEvalPhi:
     def test_origin_composes_from_envelope_primitives(self, rng):
         ds = random_dataset(rng, 10, 3, 4)
@@ -295,7 +305,7 @@ class TestLineSearch:
         assert not stalled and alpha < 1.0
         g_dot_d = float(np.sum(gW * dW_used) + gb * db_used)
         trial = sncg.eval_phi(ctx, W + alpha * dW_used, 0.0 + alpha * db_used)
-        assert trial <= state.phi + cfg.mu * alpha * g_dot_d + 1e-12
+        assert trial <= state.phi + sncg.ARMIJO_MU * alpha * g_dot_d + 1e-12
 
     def test_armijo_holds_on_random_instances(self, rng):
         cfg = sncg.SncgConfig()
@@ -312,7 +322,7 @@ class TestLineSearch:
             assert not stalled
             g_dot_d = float(np.sum(state.grad_W * dW_used) + state.grad_b * db_used)
             trial = sncg.eval_phi(ctx, W + alpha * dW_used, b + alpha * db_used)
-            assert trial <= state.phi + cfg.mu * alpha * g_dot_d + 1e-10
+            assert trial <= state.phi + sncg.ARMIJO_MU * alpha * g_dot_d + 1e-10
 
     def test_ascent_direction_falls_back_to_steepest_descent(self, rng):
         ctx = make_context(rng, n=12, p=3, q=3)
@@ -384,8 +394,10 @@ class TestSolveSubproblem:
 
     def test_monotone_descent(self, rng):
         ctx = make_context(rng, n=40, p=4, q=5)
-        res = sncg.solve_subproblem(ctx, rng.standard_normal((4, 5)), 0.5, grad_tol_stop(1e-9))
-        vals = res.stats.phi_values
+        vals = []
+        res = sncg.solve_subproblem(
+            ctx, rng.standard_normal((4, 5)), 0.5, recording_stop(grad_tol_stop(1e-9), vals, "phi")
+        )
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
         assert res.converged
 
@@ -402,8 +414,10 @@ class TestSolveSubproblem:
     def test_superlinear_tail(self, rng):
         # gradient norms should collapse fast near the end
         ctx = make_context(rng, n=30, p=4, q=4)
-        res = sncg.solve_subproblem(ctx, np.zeros((4, 4)), 0.0, grad_tol_stop(1e-11))
-        g = res.stats.grad_norms
+        g = []
+        res = sncg.solve_subproblem(
+            ctx, np.zeros((4, 4)), 0.0, recording_stop(grad_tol_stop(1e-11), g, "grad_norm")
+        )
         assert res.converged and g[-1] <= 1e-11
         if len(g) >= 3 and g[-2] < 1e-2:
             assert g[-1] <= 0.5 * g[-2]
@@ -779,7 +793,7 @@ class TestScreenedSteps:
 class TestConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [("cg_max_iter", 0), ("ls_max_backtracks", 0), ("max_newton_iter", -1)],
+        [("ls_max_backtracks", 0), ("max_newton_iter", -1)],
     )
     def test_budgets_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -800,6 +814,6 @@ class TestConfig:
             return original(apply_op, rhs, tol, max_iter, **kwargs)
 
         monkeypatch.setattr(sncg, "cg", spy)
-        monkeypatch.setattr(sncg.SncgConfig, "cg_max_iter", 7)
         sncg.newton_direction(ctx, np.zeros((3, 3)), 0.0, ws, 1e-10, state=state)
-        assert budgets == [7]
+        sncg.newton_direction(ctx, np.zeros((3, 3)), 0.0, ws, 1e-10, state=state, cg_max_iter=7)
+        assert budgets == [sncg.CG_MAX_ITER, 7]
