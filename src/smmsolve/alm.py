@@ -136,6 +136,11 @@ class SolveReport:
     returned (for ISPADMM, its last inner one).  sGS-ISPADMM
     reports ``j1_size = 0``: it updates W by CG on the full data and
     never forms a Newton state.
+
+    ``history`` has one row per outer iteration.  An ALM row counts its
+    subproblem's Newton steps (``newton_iters``), the CG iterations of
+    those solved by CG (``cg_iters``) and the number solved directly, with
+    no CG iteration (``direct_steps``); see ``solve``.
     """
 
     solver: str
@@ -237,7 +242,9 @@ def solve(
 
     ``report.history`` has one row per subproblem attempt, retried ones
     included: its penalty, Newton and CG counts, |J1|, rank, stop
-    reason, whether it was ``accepted``, and the elapsed time.  Accepted
+    reason, whether it was ``accepted``, and the elapsed time.  The CG
+    count (``cg_iters``) covers the Newton steps solved by CG; those
+    solved directly are counted in ``direct_steps``.  Accepted
     rows add the KKT residual and the objective.
     """
     if config is None:
@@ -292,6 +299,7 @@ def solve(
             "sigma": sigma,
             "newton_iters": sub.iterations,
             "cg_iters": sub.stats.total_cg,
+            "direct_steps": sub.stats.direct_steps,
             "j1_size": sub.state.j1.size,
             "alpha_size": sub.state.alpha_size,
             "stop_reason": sub.stop_reason,

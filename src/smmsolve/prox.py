@@ -9,7 +9,10 @@ action touches only the k1 singular values above the threshold: the
 combined weights of the alpha rows and the contiguous factor blocks are
 formed once per Jacobian, so one action on an m x k direction (m <= k)
 costs O(k1 m (m + k)) flops in a dozen array operations.  A dense action
-through the full scaling matrices serves as the oracle.
+through the full scaling matrices serves as the oracle.  The same blocks
+give ``(c I - sigma G)^{-1}`` in closed form (``SpectralResolvent``), G
+being the part of the Jacobian other than the identity, for the direct
+Newton solve.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ __all__ = [
     "SpectralJacobian",
     "build_spectral_jacobian",
     "apply_spectral_jacobian",
+    "SpectralResolvent",
+    "spectral_resolvent",
+    "apply_resolvent",
+    "resolvent_gram",
 ]
 
 # Relative tolerance for deciding that a singular value ties the threshold.
@@ -199,6 +206,8 @@ class SpectralJacobian:
     xi2_ab: np.ndarray | None = None  # (k1, m - k1), columns beta1 then beta2
     xi1_ab2: np.ndarray | None = None  # (k1, m - k2)
     xi3_d: np.ndarray | None = None  # (k1,)
+    xi1_row: np.ndarray | None = None  # (k1, m), xi1 on the alpha rows
+    xi2_row: np.ndarray | None = None  # (k1, m), xi2 on the alpha rows
     Ua_t: np.ndarray | None = None  # (k1, m), U_alpha'
     U_beta: np.ndarray | None = None  # (m, m - k1)
     V1_t: np.ndarray | None = None  # (m, k), V1'
@@ -281,6 +290,8 @@ def build_spectral_jacobian(X: np.ndarray | None, tau: float, svd: MatrixSvd | N
         xi2_ab=xi2_ab,
         xi1_ab2=xi1_ab2,
         xi3_d=xi3_d,
+        xi1_row=xi1_row,
+        xi2_row=xi2_row,
         Ua_t=U[:, :k1].T.copy(),
         U_beta=U[:, k1:].copy(),
         V1_t=Vt[:m],  # row blocks of Vt are contiguous already
@@ -341,21 +352,27 @@ def _apply_fast(jac: SpectralJacobian, D: np.ndarray) -> np.ndarray:
     I - V1 V1', so V2 is never formed); ``p_row`` holds P - xi3 for it.
     Every product has k1 as one of its dimensions.
     """
-    k1 = jac.k1
-    if k1 == 0:
+    if jac.k1 == 0:
         # No singular value above the threshold: only tie blocks remain and
         # every stored scaling is empty, so the action reduces to D itself.
         return D.copy()
+    return _subtract_action(jac, D, D, jac.p_row, jac.q_row, jac.p_beta, jac.q_beta, jac.xi3_col)
+
+
+def _subtract_action(jac, D, base, p_row, q_row, p_beta, q_beta, xi3_col):
+    """``base`` less the action of ``_apply_fast``'s G on D, with the
+    weights given in place of the Jacobian's own (same layout)."""
+    k1 = jac.k1
     UaD = jac.Ua_t @ D  # (k1, k)
     H_row = UaD @ jac.V1_t.T  # (k1, m)
     H_col = (jac.Va_t @ D.T) @ jac.U  # (k1, m)
-    top = jac.p_row * H_row
-    top += jac.q_row * H_col
+    top = p_row * H_row
+    top += q_row * H_col
     top = top @ jac.V1_t
-    top += jac.xi3_col * UaD  # (k1, k): the alpha rows of U' (D - out)
-    K_beta = jac.q_beta * H_row[:, k1:]
-    K_beta += jac.p_beta * H_col[:, k1:]
-    out = D - jac.Ua_t.T @ top
+    top += xi3_col * UaD  # (k1, k): the alpha rows of U' (base - out)
+    K_beta = q_beta * H_row[:, k1:]
+    K_beta += p_beta * H_col[:, k1:]
+    out = base - jac.Ua_t.T @ top
     out -= (jac.U_beta @ K_beta.T) @ jac.Va_t
     return out
 
@@ -380,3 +397,84 @@ def apply_spectral_jacobian(jac: SpectralJacobian, d_W: np.ndarray, mode: str = 
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return out.T if jac.transposed else out
+
+
+@dataclass(frozen=True)
+class SpectralResolvent:
+    """(c I - sigma G)^{-1} = I/c + E for the Jacobian element I - G of
+    ``jac`` (not interior, k1 > 0), with c > sigma > 0.
+
+    In the rotated coordinates H = U' D V, G scales the symmetric and the
+    antisymmetric part of each pair (i, j), (j, i) of the first m columns
+    by xi1 and xi2, and the trailing block by xi3; all three are zero off
+    the alpha rows and columns.  So E is the same action with each weight
+    xi replaced by e(xi) = sigma xi / (c (c - sigma xi)) >= 0: positive
+    semidefinite, and as cheap to apply as G.  ``weights`` are E's, negated,
+    in the layout ``_subtract_action`` takes; ``gram_weights`` those that
+    ``resolvent_gram`` puts on the rotated entries.
+    """
+
+    jac: SpectralJacobian
+    c: float
+    weights: tuple
+    gram_weights: np.ndarray  # (k1 (m + k),)
+
+
+def spectral_resolvent(jac: SpectralJacobian, c: float, sigma: float) -> SpectralResolvent:
+    """The inverse of ``c I - sigma G`` (see ``SpectralResolvent``)."""
+    k1, m = jac.k1, jac.s.size
+
+    def shifted(xi):
+        s_xi = sigma * xi
+        return s_xi / (c * (c - s_xi))
+
+    e1, e2, e3 = shifted(jac.xi1_row), shifted(jac.xi2_row), shifted(jac.xi3_col)
+    P = e1 + e2
+    P *= -0.5
+    Q = e2 - e1
+    Q *= 0.5
+    # resolvent_gram's sums and differences of a pair (i, j), (j, i) take
+    # half of e1 and e2; a pair within alpha x alpha comes twice, once from
+    # either side, and so takes a quarter
+    gram = np.empty((k1, m + jac.Vt.shape[0]))
+    pairs = gram[:, : 2 * m].reshape(k1, 2, m)
+    pairs[:, 0] = e1
+    pairs[:, 1] = e2
+    pairs *= 0.5
+    pairs[:, :, :k1] *= 0.5
+    gram[:, 2 * m :] = e3
+    return SpectralResolvent(jac, c, (P + e3, Q, P[:, k1:], Q[:, k1:], -e3), gram.ravel())
+
+
+def apply_resolvent(res: SpectralResolvent, d_W: np.ndarray) -> np.ndarray:
+    """(c I - sigma G)^{-1} d_W, in a new array: O(k1 m (m + k))."""
+    jac = res.jac
+    D = d_W.T if jac.transposed else d_W
+    out = _subtract_action(jac, D, D / res.c, *res.weights)
+    return out.T if jac.transposed else out
+
+
+def resolvent_gram(res: SpectralResolvent, rows: np.ndarray) -> np.ndarray:
+    """[<X_i, E X_j>]_{ij} over the rows vec(X_i) of ``rows``.
+
+    ``rows`` is J x p q, in the original orientation.  The form is taken
+    on the alpha entries of each U' X_i V: the alpha rows and columns of
+    the first m columns, as sums and differences of the pairs, and the
+    alpha rows of the trailing block.  O(J k1 p q + J^2 k1 (m + k)) flops.
+    """
+    jac = res.jac
+    k1, m = jac.k1, jac.s.size
+    J = rows.shape[0]
+    p, q = jac.shape
+    left, right = (jac.Va_t, jac.Ua_t) if jac.transposed else (jac.Ua_t, jac.Va_t)
+    # left X_i (k1 x q) and right X_i' (k1 x p), one block of rows each
+    by_left = (left @ rows.reshape(J, p, q)).reshape(J * k1, q)
+    by_right = (rows.reshape(J * p, q) @ right.T).reshape(J, p, k1)
+    by_right = by_right.transpose(0, 2, 1).reshape(J * k1, p)
+    if jac.transposed:
+        by_left, by_right = by_right, by_left
+    H_row = (by_left @ jac.Vt.T).reshape(J, k1, -1)  # U_alpha' X V
+    H_col = (by_right @ jac.U).reshape(J, k1, m)  # (U' X V_alpha)'
+    x = H_row[:, :, :m]
+    Z = np.concatenate([x + H_col, x - H_col, H_row[:, :, m:]], axis=2).reshape(J, -1)
+    return (Z * res.gram_weights) @ Z.T

@@ -87,9 +87,14 @@ class PathPoint:
     wall_time: float
 
 
-def initial_active_set(dataset: Dataset, W: np.ndarray, b: float, eps_hat: float) -> np.ndarray:
-    """Samples with margin at most ``1 + eps_hat`` under the given model."""
-    margins = apply_A(dataset, W) + b * dataset.labels
+def initial_active_set(
+    dataset: Dataset, W: np.ndarray, b: float, eps_hat: float, AW: np.ndarray | None = None
+) -> np.ndarray:
+    """Samples with margin at most ``1 + eps_hat`` under the given model;
+    ``AW``, if given, is ``apply_A(dataset, W)``."""
+    if AW is None:
+        AW = apply_A(dataset, W)
+    margins = AW + b * dataset.labels
     return np.flatnonzero(margins <= 1.0 + eps_hat)
 
 
@@ -126,13 +131,15 @@ def solve_reduced(
 
 
 def violation_set(
-    dataset: Dataset, indices: np.ndarray, reduced: alm.Solution, C: float
+    dataset: Dataset, indices: np.ndarray, reduced: alm.Solution, C: float,
+    AW: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Violated outside samples and the extended (v, lam) vectors.
 
     Outside slacks are ``v_j = 1 - y_j (<W, X_j> + b)``; the violated set
     collects ``v_j >= 0``.  The extension puts ``-C`` at violated entries
-    of the multiplier and zero elsewhere outside the active set.
+    of the multiplier and zero elsewhere outside the active set.  ``AW``,
+    if given, is ``apply_A`` of the reduced W over all of ``dataset``.
     """
     n = dataset.n_samples
     indices = np.asarray(indices, dtype=np.int64)
@@ -143,7 +150,9 @@ def violation_set(
     W, b = reduced.primal.W, reduced.primal.b
     v_full = np.empty(n)
     v_full[indices] = reduced.primal.v
-    margins_out = apply_A(dataset, W)[outside] + b * dataset.labels[outside]
+    if AW is None:
+        AW = apply_A(dataset, W)
+    margins_out = AW[outside] + b * dataset.labels[outside]
     v_full[outside] = 1.0 - margins_out
 
     violated = outside[v_full[outside] >= 0.0]
@@ -173,6 +182,10 @@ def solve_path(dataset: Dataset, config: PathConfig) -> list[PathPoint]:
     solve/violations/expand until the violated set empties; more than n
     rounds would contradict finite termination and raises.  A reduced or
     initial solve that does not converge raises ``SievingError``.
+
+    A W of each reduced solution is formed once over all rows and shared
+    by the violation test and the margin set carried to the next grid
+    point (none after the last).
     """
     n = dataset.n_samples
     c0 = config.grid[0]
@@ -199,7 +212,8 @@ def solve_path(dataset: Dataset, config: PathConfig) -> list[PathPoint]:
                 raise SievingError("sieving exceeded n rounds; finite termination violated")
             sizes.append(int(active.size))
             reduced, _ = solve_reduced(dataset, active, C, config.tau, config.eps, warm=warm)
-            violated, v_full, lam_full = violation_set(dataset, active, reduced, C)
+            AW = apply_A(dataset, reduced.primal.W)
+            violated, v_full, lam_full = violation_set(dataset, active, reduced, C, AW)
             if violated.size == 0:
                 break
             new_active = expand(active, violated, v_full, config.d_max)
@@ -232,8 +246,10 @@ def solve_path(dataset: Dataset, config: PathConfig) -> list[PathPoint]:
                 wall_time=time.perf_counter() - t0,
             )
         )
+        if C == config.grid[-1]:
+            break
         prev_active = initial_active_set(
-            dataset, reduced.primal.W, reduced.primal.b, config.eps_hat
+            dataset, reduced.primal.W, reduced.primal.b, config.eps_hat, AW
         )
         if prev_active.size == 0:
             prev_active = np.arange(n, dtype=np.int64)

@@ -40,15 +40,23 @@ its own.  The SVD of the accepted line-search trial is reused by the
 next state.  A subproblem ending on R makes one fresh A W to return a
 state on all rows, which the caller uses in place of its own pass.
 
-At small p q a step also has a cost that n does not change.  Each CG
-iteration applies the operator once (``cg`` reports the residual its
-recurrence carries, with no extra application at the end), and each
-application the spectral Jacobian, whose weights are formed once per
-step (``prox._apply_fast``).  In the line search only the full step,
-the trial mostly accepted, makes an SVD with vectors; a backtracked
-trial takes the singular values alone, or none when Lam_k + sigma W lies
-in the Frobenius ball of radius tau, and an accepted one makes the SVD
-of its point once, for the next state.
+At small p q a step also has a cost that n does not change.  A system
+with |J1| at most ``DIRECT_MAX_J1`` (most steps: the median |J1| is
+10-13 on the benchmark's instances, with k1 <= 1) is solved exactly,
+with no CG (``NewtonWorkspace.solve``): the operator is
+c I - sigma G + sigma A_J1* P A_J1 with G the spectral Jacobian's low-rank
+part, which inverts in closed form in the singular basis, and
+Sherman-Morrison-Woodbury leaves one |J1| x |J1| system.  That costs
+O(|J1| k1 p q + |J1|^2 p q + |J1|^3), the rotation of the J1 rows onto
+the k1 alpha rows and columns, their Gram matrix and one LU solve; above
+the crossover CG is cheaper.  Each CG iteration applies the operator once
+(``cg`` reports the residual its recurrence carries, with no extra
+application at the end), and each application the spectral Jacobian,
+whose weights are formed once per step (``prox._apply_fast``).  In the
+line search only the full step, the trial mostly accepted, makes an SVD
+with vectors; a backtracked trial takes the singular values alone, or
+none when Lam_k + sigma W lies in the Frobenius ball of radius tau, and
+an accepted one makes the SVD of its point once, for the next state.
 
 Stopping.  ``solve_subproblem`` stops, in this order of checks, when
 
@@ -99,6 +107,7 @@ __all__ = [
     "line_search",
     "solve_subproblem",
     "cg",
+    "DIRECT_MAX_J1",
 ]
 
 # A quantity summed from terms of total size S carries roundoff of a few
@@ -133,6 +142,17 @@ CG_TOL_EXPONENT = 0.5  # in (0, 1]
 DAMPING_SCALE = 1e-3  # in (0, 1)
 DAMPING_CAP = 0.1  # in (0, 1)
 CG_MAX_ITER = 300
+# Newton systems with |J1| <= DIRECT_MAX_J1 are solved directly
+# (NewtonWorkspace.solve), larger ones by CG.  At p = q = 20, k1 = 1 and
+# one BLAS thread, a direct solve took 0.11-0.17 ms at |J1| of 5 to 50 and
+# 0.25 ms at 80, against 0.17-0.27 ms for five CG iterations (the median
+# step's count) at any |J1| up to 100: the crossover of one direction lies
+# near 50-60.  Exact directions also take fewer Newton steps, so the sum of
+# 1e-6 and 1e-8 solves on four n = 2500 and 6250 instances fell from
+# 838 ms (CG only) to 628, 586, 584 and 563 ms for crossovers of 50, 80,
+# 120 and 200 (medians of 8); at p = 50, q = 80 it was 1.29-1.36 s for 50
+# to 120, against 1.60 s.  The cost of a direct solve grows as |J1|^2 p q.
+DIRECT_MAX_J1 = 80
 
 
 def _norm(W: np.ndarray, b: float = 0.0) -> float:
@@ -672,7 +692,8 @@ class NewtonWorkspace:
     are the state's ``j1_rows`` when it has them (gathered into the
     subproblem's row block); otherwise they are gathered here.  They are
     unsigned: in A_J1* A_J1 and A_J1* y_J1 the labels y_j = +-1 cancel.
-    ``config`` is not read (the damping is fixed).
+    ``config`` is not read (the damping is fixed).  CG applies the
+    operator (``apply``); a small system is inverted directly (``solve``).
     """
 
     def __init__(self, ctx: SubproblemContext, state: SubproblemState, config: SncgConfig | None = None):
@@ -711,6 +732,48 @@ class NewtonWorkspace:
 
     def recover_db(self, rhs2: float, d_vec: np.ndarray) -> float:
         return (rhs2 - self.sigma * float((self.aj @ d_vec).sum())) / self.denom
+
+    @property
+    def direct(self) -> bool:
+        """Whether ``newton_direction`` solves this system by ``solve``."""
+        return self.j1.size <= DIRECT_MAX_J1
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The operator's inverse on ``rhs``, by Sherman-Morrison-Woodbury.
+
+        The operator is B + sigma R' P R with R the J1 rows,
+        P = I - (sigma/denom) 1 1' and B = c I - sigma G, c = a_w + sigma
+        with the nuclear block and a_w without it (G = 0 there).  B
+        inverts in closed form (``prox.spectral_resolvent``), which leaves
+        the |J1| x |J1| system (I + sigma P F) u = sigma P R B^-1 rhs with
+        F = R B^-1 R'; then d = B^-1 (rhs - R' u).  P is never inverted:
+        its small eigenvalue, (a_b + rho)/denom, goes to 0 with rho.
+        """
+        sigma, R = self.sigma, self.aj
+        jac = self.spectral
+        c = self.a_w if jac is None else self.a_w + sigma
+        # G = 0 at an interior state and at a tie (k1 = 0 both)
+        inv = prox.spectral_resolvent(jac, c, sigma) if jac is not None and jac.k1 else None
+
+        def inverse(v):
+            if inv is None:
+                return v / c
+            return prox.apply_resolvent(inv, v.reshape(self.shape)).ravel()
+
+        if R.shape[0] == 0:
+            return inverse(rhs)
+        system = R @ R.T  # sigma F, then sigma P F, then the system
+        system *= sigma / c
+        if inv is not None:
+            system += sigma * prox.resolvent_gram(inv, R)
+        t = sigma / self.denom
+        system -= t * system.sum(axis=0)
+        system.flat[:: R.shape[0] + 1] += 1.0
+        z = R @ inverse(rhs)
+        z -= t * z.sum()
+        z *= sigma
+        u = np.linalg.solve(system, z)
+        return inverse(rhs - R.T @ u)
 
 
 def cg(
@@ -767,19 +830,24 @@ def newton_direction(
     state: SubproblemState | None = None,
     cg_max_iter: int = CG_MAX_ITER,
 ):
-    """Solve the reduced Newton system at (W, b) by CG, in at most
-    ``cg_max_iter`` iterations.
+    """Solve the reduced Newton system at (W, b): directly when |J1| is at
+    most ``DIRECT_MAX_J1`` (``NewtonWorkspace.solve``), else by CG in at
+    most ``cg_max_iter`` iterations.
 
     Eliminating d_b leaves one equation in d_W; d_b is recovered from the
     scalar row afterwards.  The residual bound ``tol`` applies to the
-    reduced d_W equation.
+    reduced d_W equation.  Returns (d_W, d_b, CG iterations, residual that
+    CG's recurrence carries); a direct solve reports 0 and 0.0.
     """
     if state is None:
         state = compute_state(ctx, W, b)
     rhs1 = -state.grad_W.ravel()
     rhs2 = -state.grad_b
     rhs = rhs1 - (workspace.sigma * rhs2 / workspace.denom) * workspace.ajy
-    d_vec, iters, resid, ok = cg(workspace.apply, rhs, tol, cg_max_iter)
+    if workspace.direct:
+        d_vec, iters, resid = workspace.solve(rhs), 0, 0.0
+    else:
+        d_vec, iters, resid, _ = cg(workspace.apply, rhs, tol, cg_max_iter)
     if not np.isfinite(d_vec).all():
         raise FloatingPointError("non-finite Newton direction")
     d_b = workspace.recover_db(rhs2, d_vec)
@@ -858,7 +926,8 @@ def line_search(
 
 @dataclass
 class SubproblemStats:
-    cg_iters: list = field(default_factory=list)  # per Newton step
+    cg_iters: list = field(default_factory=list)  # per Newton step, 0 when direct
+    direct_steps: int = 0  # Newton steps solved by NewtonWorkspace.solve
 
     @property
     def total_cg(self) -> int:
@@ -940,6 +1009,7 @@ def solve_subproblem(
         tol_cg = min(CG_TOL_CAP, state.grad_norm ** (1.0 + CG_TOL_EXPONENT))
         d_W, d_b, cg_it, _ = newton_direction(ctx, W, b, ws, tol_cg, state=state)
         stats.cg_iters.append(cg_it)
+        stats.direct_steps += ws.direct
         d_W, d_b, _ = _descent(state, d_W, d_b)
         if not state.screen.fits(W, b, d_W, d_b):
             # the trials may leave the anchor's ball: back to all rows

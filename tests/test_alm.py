@@ -327,13 +327,16 @@ class TestFullPasses:
 
     @pytest.mark.parametrize("tau", [1.0, 5.0])
     def test_screened_steps_leave_under_one_pass_per_direction(self, small_synth, monkeypatch, tau):
-        # measured 0.887 (tau=1) and 0.881 (tau=5) with screened Newton
-        # steps; 1.52 and 1.53 when every step runs over all rows
+        # Counted per ALM outer iteration, which makes two full passes for
+        # its fresh A W and A* lam; a bound per Newton direction would move
+        # with the direct solves, which cut directions but no pass.
+        # Measured 3.2 (tau=1) and 3.0 (tau=5) with screened Newton steps;
+        # 5.5 and 5.0 when every step runs over all rows.
         train, _, _ = small_synth
         calls = count_full_passes(monkeypatch)
         sol = alm.solve(train, Hyperparams(C=1.0, tau=tau), alm.AlmConfig(kkt_tol=1e-6))
         assert sol.report.converged
-        assert calls["passes"] <= 0.95 * calls["newton"]
+        assert calls["passes"] <= 3.5 * sol.report.n_outer
 
     @pytest.mark.parametrize("tau", [1.0, 5.0])
     def test_reported_eta_is_a_fresh_recompute(self, small_synth, tau):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from smmsolve import alm, prox, sncg
+from smmsolve import admm, alm, prox, sncg
 from smmsolve.problem import Dataset, Hyperparams, apply_A, apply_A_adjoint
 
 from conftest import random_dataset
@@ -276,6 +276,111 @@ class TestNewtonDirection:
         assert ws2.denom > ws2.rho  # sigma |J1| contribution present
         d_W, d_b, _, _ = sncg.newton_direction(ctx, np.zeros((3, 3)), 0.0, ws, 1e-10, state=state)
         assert np.isfinite(d_b) and np.isfinite(d_W).all()
+
+
+def banded_context(rng, p, q, j1_size, tau, **weights):
+    """A context whose state at a small (W, b) has exactly ``j1_size`` rows
+    in J1: omega = sigma - lam near the origin, 1.3 on the first rows
+    (inside (0, C) = (0, 2)) and 6.3 on six more (above C)."""
+    ds = random_dataset(rng, j1_size + 6, p, q)
+    lam = np.zeros(ds.n_samples)
+    lam[j1_size:] = -5.0
+    Lam_k = rng.standard_normal((p, q)) if tau > 0 else None
+    return sncg.SubproblemContext(
+        dataset=ds, hyper=Hyperparams(C=2.0, tau=tau), sigma=1.3, lam_k=lam, Lam_k=Lam_k, **weights
+    )
+
+
+def direct_against_cg(rng, ctx, rho=None):
+    """Relative gap between NewtonWorkspace.solve and CG at tol 1e-13 on
+    the workspace of a state near the origin; also the workspace."""
+    ds = ctx.dataset
+    W = 1e-3 * rng.standard_normal((ds.p, ds.q))
+    state = sncg.compute_state(ctx, W, 1e-3)
+    ws = sncg.NewtonWorkspace(ctx, state)
+    if rho is not None:
+        ws.rho = rho
+        ws.denom = ws.a_b + ws.sigma * ws.j1.size + rho
+    rhs = rng.standard_normal(ds.p * ds.q)
+    exact, _, _, ok = sncg.cg(ws.apply, rhs, 1e-13, 100000)
+    assert ok
+    got = ws.solve(rhs)
+    return np.linalg.norm(got - exact) / np.linalg.norm(exact), ws
+
+
+class TestDirectDirection:
+    @pytest.mark.parametrize("p, q", [(3, 5), (4, 4), (6, 3)])
+    @pytest.mark.parametrize("kind", ["interior", "k1", "tie", "tau0", "ispadmm"])
+    def test_matches_cg(self, p, q, kind):
+        rng = np.random.default_rng(10 * p + q)
+        if kind == "interior":
+            ctx = banded_context(rng, p, q, 9, tau=1e3)
+        elif kind == "k1":
+            ctx = banded_context(rng, p, q, 9, tau=0.5)
+        elif kind == "tie":
+            # the largest singular value of Lam_k + sigma W within the tie
+            # tolerance above tau: not interior, k1 = 0
+            ctx = banded_context(rng, p, q, 9, tau=1.0)
+            W = 1e-3 * np.random.default_rng(10 * p + q + 1).standard_normal((p, q))
+            s0 = np.linalg.svd(ctx.Lam_k + ctx.sigma * W, compute_uv=False)[0]
+            ctx.hyper = Hyperparams(C=2.0, tau=s0 * (1.0 - 0.5 * prox._TIE_RTOL))
+            rng = np.random.default_rng(10 * p + q + 1)
+        elif kind == "tau0":
+            ctx = banded_context(rng, p, q, 9, tau=0.0)
+        else:  # the proximal subproblem of ISPADMM
+            gamma = admm.AdmmConfig().gamma
+            ctx = banded_context(
+                rng, p, q, 9, tau=0.0, w_weight=1.0 + gamma, b_weight=admm.DELTA_PROX,
+                w_target=rng.standard_normal((p, q)), b_center=0.3,
+            )
+        gap, ws = direct_against_cg(rng, ctx)
+        assert ws.j1.size == 9
+        jac = ws.spectral
+        if kind in ("tau0", "ispadmm"):
+            assert jac is None
+        else:
+            assert jac.is_interior == (kind == "interior")
+            assert kind != "tie" or jac.k1 == 0
+            assert kind != "k1" or jac.k1 >= 1
+        assert gap <= 1e-10
+
+    @pytest.mark.parametrize("rho", [1e-12, 0.0])
+    def test_matches_cg_as_the_damping_vanishes(self, rho):
+        # with a_b = 0, P's small eigenvalue is rho / denom
+        rng = np.random.default_rng(5)
+        ctx = banded_context(rng, 4, 5, 12, tau=0.5)
+        gap, ws = direct_against_cg(rng, ctx, rho=rho)
+        assert ws.a_b == 0.0 and ws.spectral.k1 >= 1
+        assert gap <= 1e-10
+
+    @pytest.mark.parametrize("size", [0, 1, sncg.DIRECT_MAX_J1, sncg.DIRECT_MAX_J1 + 1])
+    def test_matches_cg_at_every_size(self, size):
+        rng = np.random.default_rng(8)
+        gap, ws = direct_against_cg(rng, banded_context(rng, 3, 4, size, tau=0.5))
+        assert ws.j1.size == size
+        assert ws.direct == (size <= sncg.DIRECT_MAX_J1)
+        assert gap <= 1e-10
+
+    def test_counted_apart_from_cg(self):
+        # a direct step reports no CG iteration; the subproblem counts it
+        rng = np.random.default_rng(9)
+        ctx = banded_context(rng, 3, 4, 5, tau=0.5)
+        state = sncg.compute_state(ctx, np.zeros((3, 4)), 0.0)
+        ws = sncg.NewtonWorkspace(ctx, state)
+        assert ws.direct
+        _, _, iters, resid = sncg.newton_direction(ctx, state.W, state.b, ws, 1e-10, state=state)
+        assert (iters, resid) == (0, 0.0)
+        res = sncg.solve_subproblem(ctx, np.zeros((3, 4)), 0.0, grad_tol_stop(1e-9))
+        assert res.converged and res.stats.direct_steps == res.iterations > 0
+        assert res.stats.total_cg == 0
+
+    @pytest.mark.parametrize("p, q", [(3, 3), (3, 5), (5, 3)])
+    def test_cg_branch_matches_dense_solve(self, monkeypatch, p, q):
+        monkeypatch.setattr(sncg, "DIRECT_MAX_J1", -1)
+        monkeypatch.setattr(sncg.NewtonWorkspace, "solve", None)  # never reached
+        TestNewtonDirection().test_matches_dense_solve_on_tiny_instances(
+            np.random.default_rng(1000 + 10 * p + q), p, q
+        )
 
 
 class TestLineSearch:
@@ -814,6 +919,7 @@ class TestConfig:
             return original(apply_op, rhs, tol, max_iter, **kwargs)
 
         monkeypatch.setattr(sncg, "cg", spy)
+        monkeypatch.setattr(sncg, "DIRECT_MAX_J1", -1)  # its 12 rows would be solved directly
         sncg.newton_direction(ctx, np.zeros((3, 3)), 0.0, ws, 1e-10, state=state)
         sncg.newton_direction(ctx, np.zeros((3, 3)), 0.0, ws, 1e-10, state=state, cg_max_iter=7)
         assert budgets == [sncg.CG_MAX_ITER, 7]
