@@ -139,8 +139,10 @@ class SolveReport:
 
     ``history`` has one row per outer iteration.  An ALM row counts its
     subproblem's Newton steps (``newton_iters``), the CG iterations of
-    those solved by CG (``cg_iters``) and the number solved directly, with
-    no CG iteration (``direct_steps``); see ``solve``.
+    those solved by CG (``cg_iters``), the number solved directly, with
+    no CG iteration (``direct_steps``), and the number taken from a state
+    with J1 empty, whose b went to its exact minimizer at the current W
+    (``exact_b_steps``); see ``solve``.
     """
 
     solver: str
@@ -244,8 +246,11 @@ def solve(
     included: its penalty, Newton and CG counts, |J1|, rank, stop
     reason, whether it was ``accepted``, and the elapsed time.  The CG
     count (``cg_iters``) covers the Newton steps solved by CG; those
-    solved directly are counted in ``direct_steps``.  Accepted
-    rows add the KKT residual and the objective.
+    solved directly are counted in ``direct_steps``, and those from a
+    state with J1 empty, which take b to its exact minimizer at the
+    current W instead of the damped system's d_b (``sncg.b_minimizer``),
+    in ``exact_b_steps``.  Accepted rows add the KKT residual and the
+    objective.
     """
     if config is None:
         config = AlmConfig()
@@ -300,6 +305,7 @@ def solve(
             "newton_iters": sub.iterations,
             "cg_iters": sub.stats.total_cg,
             "direct_steps": sub.stats.direct_steps,
+            "exact_b_steps": sub.stats.exact_b_steps,
             "j1_size": sub.state.j1.size,
             "alpha_size": sub.state.alpha_size,
             "stop_reason": sub.stop_reason,

@@ -18,6 +18,7 @@ Newton solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -188,9 +189,10 @@ class SpectralJacobian:
     when ``k1`` is small.
 
     For the fast action (``_apply_fast``) the blocks are also combined,
-    once, into the weights P = (xi1 + xi2)/2 and Q = (xi1 - xi2)/2 on the
-    (k1, m) block, xi1 and xi2 being the symmetric scalings, and the
-    factor blocks it multiplies by are stored contiguous.
+    once and on first use, into the weights P = (xi1 + xi2)/2 and
+    Q = (xi1 - xi2)/2 on the (k1, m) block (``fast_weights``), xi1 and xi2
+    being the symmetric scalings, and the factor blocks it multiplies by
+    are stored contiguous.
     """
 
     shape: tuple[int, int]  # original orientation
@@ -212,11 +214,18 @@ class SpectralJacobian:
     U_beta: np.ndarray | None = None  # (m, m - k1)
     V1_t: np.ndarray | None = None  # (m, k), V1'
     Va_t: np.ndarray | None = None  # (k1, k), V_alpha'
-    p_row: np.ndarray | None = None  # (k1, m), P - xi3
-    q_row: np.ndarray | None = None  # (k1, m), Q
-    p_beta: np.ndarray | None = None  # (k1, m - k1)
-    q_beta: np.ndarray | None = None  # (k1, m - k1)
     xi3_col: np.ndarray | None = None  # (k1, 1)
+
+    @cached_property
+    def fast_weights(self) -> tuple:
+        """(P - xi3, Q, P and Q on the beta columns), the weights of
+        ``_apply_fast``, formed on first use: a Newton system solved
+        directly never applies the Jacobian itself."""
+        P = self.xi1_row + self.xi2_row
+        P *= 0.5
+        Q = self.xi1_row - self.xi2_row
+        Q *= 0.5
+        return P - self.xi3_col, Q, P[:, self.k1 :], Q[:, self.k1 :]
 
     @property
     def alpha(self) -> np.ndarray:
@@ -238,8 +247,9 @@ def build_spectral_jacobian(X: np.ndarray | None, tau: float, svd: MatrixSvd | N
     When ``||X||_2 <= tau`` (with tau > 0) the projection is locally the
     identity and only a flag is stored.  Otherwise the SVD-based block
     scalars are precomputed on the rows indexed by ``alpha``, with the
-    combined weights and factor blocks of the fast action.  A precomputed
-    ``svd`` may be passed in place of the matrix itself.
+    factor blocks of the fast action (its weights are formed on its first
+    use).  A precomputed ``svd`` may be passed in place of the matrix
+    itself.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -267,14 +277,10 @@ def build_spectral_jacobian(X: np.ndarray | None, tau: float, svd: MatrixSvd | N
     xi2_ab = (s_a[:, None] - tau) / (s_a[:, None] + s_b[None, :])
     xi1_ab2 = (s_a[:, None] - tau) / (s_a[:, None] - s_b2[None, :])
     xi3_d = 1.0 - tau / s_a
-    # P and Q on the alpha rows: xi1 is 1 on alpha and beta1
+    # xi1 and xi2 on the alpha rows: xi1 is 1 on alpha and beta1
     xi1_row = np.ones((k1, m))
     xi1_row[:, k2:] = xi1_ab2
     xi2_row = np.concatenate([xi2_aa, xi2_ab], axis=1)
-    P = xi1_row + xi2_row
-    P *= 0.5
-    Q = xi1_row - xi2_row
-    Q *= 0.5
     U, Vt = svd.U, svd.Vt
     return SpectralJacobian(
         shape=shape,
@@ -296,10 +302,6 @@ def build_spectral_jacobian(X: np.ndarray | None, tau: float, svd: MatrixSvd | N
         U_beta=U[:, k1:].copy(),
         V1_t=Vt[:m],  # row blocks of Vt are contiguous already
         Va_t=Vt[:k1],
-        p_row=P - xi3_d[:, None],
-        q_row=Q,
-        p_beta=P[:, k1:],
-        q_beta=Q[:, k1:],
         xi3_col=xi3_d[:, None],
     )
 
@@ -349,14 +351,14 @@ def _apply_fast(jac: SpectralJacobian, D: np.ndarray) -> np.ndarray:
     P o H_row + Q o H_col, and its beta rows, transposed, are
     Q o H_row + P o H_col on the beta columns.  The trailing block lives
     on the alpha rows too, as xi3 o (U_alpha' D - H_row V1') (through
-    I - V1 V1', so V2 is never formed); ``p_row`` holds P - xi3 for it.
+    I - V1 V1', so V2 is never formed); ``fast_weights`` hold P - xi3 for it.
     Every product has k1 as one of its dimensions.
     """
     if jac.k1 == 0:
         # No singular value above the threshold: only tie blocks remain and
         # every stored scaling is empty, so the action reduces to D itself.
         return D.copy()
-    return _subtract_action(jac, D, D, jac.p_row, jac.q_row, jac.p_beta, jac.q_beta, jac.xi3_col)
+    return _subtract_action(jac, D, D, *jac.fast_weights, jac.xi3_col)
 
 
 def _subtract_action(jac, D, base, p_row, q_row, p_beta, q_beta, xi3_col):

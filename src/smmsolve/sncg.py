@@ -52,11 +52,23 @@ the k1 alpha rows and columns, their Gram matrix and one LU solve; above
 the crossover CG is cheaper.  Each CG iteration applies the operator once
 (``cg`` reports the residual its recurrence carries, with no extra
 application at the end), and each application the spectral Jacobian,
-whose weights are formed once per step (``prox._apply_fast``).  In the
-line search only the full step, the trial mostly accepted, makes an SVD
-with vectors; a backtracked trial takes the singular values alone, or
-none when Lam_k + sigma W lies in the Frobenius ball of radius tau, and
-an accepted one makes the SVD of its point once, for the next state.
+whose weights are formed once per step, on its first application
+(``prox._apply_fast``).  In the line search only the full step, the
+trial mostly accepted, makes an SVD with vectors; a backtracked trial
+takes the singular values alone, or none when Lam_k + sigma W lies in the
+Frobenius ball of radius tau, and an accepted one makes the SVD of its
+point once, for the next state.
+
+A state with J1 empty has nothing but the damping rho in the b-row of
+its Newton system, so that system's d_b = -grad_b / (a_b + rho) is huge
+when a_b is small (ALM's a_b = 0), and the line search would halve it
+twenty times or more for a tiny move.  Every cold solve starts there:
+at the origin with sigma0 >= C each omega_i = sigma0 >= C.  Such a step
+keeps the system's d_W and takes b to ``b_minimizer``, the exact
+minimizer of phi(W, .) at the current W, found over all rows in
+O(n log n) (a screened state goes back to all rows first).  With
+grad_b (b* - b) <= 0 the step stays a descent direction for the same
+line search; ``SubproblemStats.exact_b_steps`` counts these steps.
 
 Stopping.  ``solve_subproblem`` stops, in this order of checks, when
 
@@ -105,6 +117,7 @@ __all__ = [
     "rebase",
     "newton_direction",
     "line_search",
+    "b_minimizer",
     "solve_subproblem",
     "cg",
     "DIRECT_MAX_J1",
@@ -854,6 +867,61 @@ def newton_direction(
     return d_vec.reshape(workspace.shape), d_b, iters, resid
 
 
+def _first_root(ends: np.ndarray, f: np.ndarray, slope: float) -> float | None:
+    """inf {u : f(u) >= 0} for a nondecreasing piecewise-linear f with the
+    values ``f`` at the sorted ``ends`` and the slope ``slope`` outside
+    them: -inf when f >= 0 everywhere, None when f < 0 everywhere."""
+    k = int(np.argmax(f >= 0.0))
+    if f[k] < 0.0:
+        return ends[-1] - f[-1] / slope if slope > 0 else None
+    if k == 0:
+        return ends[0] - f[0] / slope if slope > 0 else -math.inf
+    lo, hi = ends[k - 1], ends[k]
+    return lo + (hi - lo) * (f[k - 1] / (f[k - 1] - f[k]))
+
+
+def b_minimizer(
+    omega: np.ndarray, labels: np.ndarray, sigma: float, C: float,
+    b_weight: float, b_center: float, b: float,
+) -> float | None:
+    """The minimizer of phi(W, .) nearest b, from omega at (W, b) over all
+    rows; None only if roundoff leaves its derivative f (below) without a
+    sign change.
+
+    The nuclear block does not depend on b, so phi(W, .) is a convex
+    piecewise quadratic.  Moving b by u moves omega_i by -sigma y_i u, and
+    its derivative is
+    f(u) = a_b (b + u - b0) - sum_i y_i clip(omega_i - sigma y_i u, 0, C)
+         = a_b (b + u - b0) - C n_+ + sigma sum_i clip(u - r_i, 0, C/sigma)
+    with r_i = y_i omega_i / sigma - (C/sigma if y_i > 0) and n_+ the rows
+    with y_i > 0: each row adds a ramp of height C over [r_i, r_i + C/sigma].
+    One sort of the 2n ramp ends and running sums give f at every end.
+    The roots of f form an interval: a point, unless a_b = 0 and no ramp
+    rises over it.  Counting as a root every u where |f(u)| is within its
+    roundoff, b* is the root nearest b (b itself when b already minimizes
+    to roundoff), interpolated between the two ramp ends around it.
+    O(n log n).
+    """
+    w = C / sigma
+    r = labels * omega / sigma
+    r -= w * (labels > 0)
+    ends = np.concatenate([r, r + w])
+    order = np.argsort(ends)
+    ends = ends[order]
+    rise = np.where(order < r.size, 1.0, -1.0)  # a ramp starts, or tops out
+    f = sigma * (np.cumsum(rise) * ends - np.cumsum(rise * ends))
+    f += b_weight * (b + ends - b_center) - C * np.count_nonzero(labels > 0)
+    # the size of f's terms: the running sums, the ramps' heights, a_b's term
+    size = 2.0 * sigma * np.abs(r).sum() + C * r.size
+    size += b_weight * (abs(b - b_center) + np.abs(ends).max())
+    noise = ROUNDOFF_FACTOR * _EPS * size
+    lo = _first_root(ends, f + noise, b_weight)  # inf {u : f(u) >= -noise}
+    hi = _first_root(-ends[::-1], noise - f[::-1], b_weight)  # -sup {u : f(u) <= noise}
+    if lo is None or hi is None:
+        return None
+    return b + min(max(0.0, lo), -hi)
+
+
 def _descent(state: SubproblemState, d_W: np.ndarray, d_b: float):
     """(d_W, d_b, g'd): the direction, or steepest descent when it fails a
     strict descent test (possible in finite precision)."""
@@ -928,6 +996,7 @@ def line_search(
 class SubproblemStats:
     cg_iters: list = field(default_factory=list)  # per Newton step, 0 when direct
     direct_steps: int = 0  # Newton steps solved by NewtonWorkspace.solve
+    exact_b_steps: int = 0  # Newton steps with empty J1 that took b_minimizer's b
 
     @property
     def total_cg(self) -> int:
@@ -1010,6 +1079,18 @@ def solve_subproblem(
         d_W, d_b, cg_it, _ = newton_direction(ctx, W, b, ws, tol_cg, state=state)
         stats.cg_iters.append(cg_it)
         stats.direct_steps += ws.direct
+        if not ws.j1.size:
+            # Only the damping holds the b-row: take b to its exact minimizer
+            # at this W instead, found over all rows (it can leave R's ball)
+            if state.screen.idx is not None:
+                state = _on_all_rows(ctx, state, rows)
+            b_star = b_minimizer(
+                state.omega, ctx.dataset.labels, ctx.sigma, ctx.hyper.C,
+                ctx.b_weight, ctx.b_center, b,
+            )
+            if b_star is not None:
+                d_b = b_star - b
+                stats.exact_b_steps += 1
         d_W, d_b, _ = _descent(state, d_W, d_b)
         if not state.screen.fits(W, b, d_W, d_b):
             # the trials may leave the anchor's ball: back to all rows

@@ -1,6 +1,16 @@
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Property tests draw the same examples on every run, and a slow spell
+    # of a shared host does not fail them.
+    settings.register_profile("repeatable", derandomize=True, deadline=None)
+    settings.load_profile("repeatable")
+
 from smmsolve import data as sdata
 from smmsolve.problem import Dataset
 

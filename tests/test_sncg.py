@@ -528,6 +528,62 @@ class TestSolveSubproblem:
             assert g[-1] <= 0.5 * g[-2]
 
 
+class TestEmptyJ1Steps:
+    """A state with J1 empty takes b to its exact minimizer at the current W
+    (``sncg.b_minimizer``) instead of the damped system's huge d_b."""
+
+    @staticmethod
+    def spy_line_search(monkeypatch):
+        """(|J1| of the start state, trials) of every line search."""
+        seen = []
+        original = sncg.line_search
+
+        def spy(*args, **kwargs):
+            out = original(*args, **kwargs)
+            seen.append((kwargs["state"].j1.size, out[1]))
+            return out
+
+        monkeypatch.setattr(sncg, "line_search", spy)
+        return seen
+
+    @pytest.mark.parametrize("tau", [0.0, 10.0])
+    def test_cold_solve_makes_no_backtracking_crawl(self, small_synth, monkeypatch, tau):
+        train = small_synth[0]
+        hyper = Hyperparams(C=1.0, tau=tau)
+        config = alm.AlmConfig(kkt_tol=1e-8)
+        # at the origin every omega_i = sigma0 >= C: J1 is empty
+        assert config.resolve_sigma0(train, hyper) >= hyper.C
+        seen = self.spy_line_search(monkeypatch)
+        sol = alm.solve(train, hyper, config)
+        assert sol.report.converged and sol.report.eta_kkt <= 1e-8
+        empty = [trials for j1, trials in seen if j1 == 0]
+        assert empty and max(empty) <= 8  # the damped d_b took 20-28
+        assert sum(row["exact_b_steps"] for row in sol.report.history) >= 1
+
+    def test_ispadmm_inner_solves_make_no_crawl(self, small_synth, monkeypatch):
+        # a_b = DELTA_PROX: the b-row of an empty J1 is held by 1e-6 + rho
+        seen = self.spy_line_search(monkeypatch)
+        admm.solve_ispadmm(
+            small_synth[0], Hyperparams(C=10.0, tau=10.0), admm.AdmmConfig(max_iter=30, kkt_tol=None)
+        )
+        empty = [trials for j1, trials in seen if j1 == 0]
+        assert empty and max(empty) <= 8
+
+    def test_step_lands_on_the_minimizer_in_b(self):
+        # zero features leave W alone, and with omega_i = 2 - 2 y_i b phi's
+        # b-derivative -sum_i y_i clip(omega_i, 0, 1) vanishes at b = 5/6,
+        # where the three rows with y_i = +1 sit inside the band: one step
+        ds = Dataset(np.zeros((4, 1, 1)), np.array([1.0, 1.0, -1.0, 1.0]))
+        ctx = sncg.SubproblemContext(
+            dataset=ds, hyper=Hyperparams(C=1.0, tau=0.0), sigma=2.0, lam_k=np.zeros(4)
+        )
+        state = sncg.compute_state(ctx, np.zeros((1, 1)), 0.0)
+        assert state.j1.size == 0 and state.grad_b < 0.0
+        res = sncg.solve_subproblem(ctx, np.zeros((1, 1)), 0.0, grad_tol_stop(1e-12))
+        assert res.converged and res.iterations == res.stats.exact_b_steps == 1
+        assert res.b == pytest.approx(5.0 / 6.0, rel=1e-14)
+
+
 class TestQuadraticVariant:
     def test_proximal_subproblem_gradient(self, rng):
         # the shifted-quadratic variant used by the ADMM baseline
