@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prox, sncg
-from .alm import Solution, _finish, _stop
+from .alm import Solution, _check_stop_rule, _finish, _stop
 from .problem import (
     Dataset,
     DualPoint,
     Hyperparams,
     PrimalPoint,
     apply_A,
-    apply_A_adjoint,
     kkt_residual,
     primal_objective,
 )
@@ -33,8 +32,10 @@ __all__ = ["AdmmConfig", "solve_ispadmm", "solve_sgs_ispadmm", "warm_start"]
 
 # Outer iterations of the inner augmented Lagrangian in one ISPADMM step.
 INNER_MAX_OUTER = 30
-# The dual step length, in (0, (1 + sqrt 5) / 2), and the proximal weight
-# on b in ISPADMM's (W, b) subproblem, > 0.
+# The penalty of both ADMM solvers, > 0, the dual step length, in
+# (0, (1 + sqrt 5) / 2), and the proximal weight on b in ISPADMM's (W, b)
+# subproblem, > 0.
+GAMMA = 1.0
 ZETA = 1.618
 DELTA_PROX = 1e-6
 
@@ -45,12 +46,14 @@ class AdmmConfig:
 
     The subproblem error caps are ``(1 + sqrt(n)) / (k^2 + 1)``, a summable
     sequence.  ``kkt_tol`` may be None to disable the KKT stop (fixed
-    iteration budgets).  The stop test and the report are ``alm``'s.  The
-    fixed constants are ``ZETA`` and ``DELTA_PROX``; ISPADMM's inner Newton
-    solves take ``sncg.SncgConfig()``.
+    iteration budgets), and ``relobj_tol`` None to disable the stop on the
+    relative objective gap to the solver's ``reference_obj``; one that is
+    set must be positive, and ``max_iter`` nonnegative.  The stop test and
+    the report are ``alm``'s.  The fixed constants are ``GAMMA``, ``ZETA``
+    and ``DELTA_PROX``; ISPADMM's inner Newton solves take
+    ``sncg.SncgConfig()``.
     """
 
-    gamma: float = 1.0
     max_iter: int = 30000
     kkt_tol: float | None = 1e-6
     relobj_tol: float | None = None
@@ -58,8 +61,7 @@ class AdmmConfig:
     track_history: bool = True
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        _check_stop_rule(self, self.max_iter, "max_iter")
 
     def eps_bar(self, k: int, n: int) -> float:
         return (1.0 + np.sqrt(n)) / (k * k + 1.0)
@@ -67,54 +69,43 @@ class AdmmConfig:
 
 @dataclass
 class _InnerResult:
-    W: np.ndarray
-    b: float
-    v: np.ndarray
-    lam: np.ndarray
+    last: sncg.SubproblemResult  # the last subproblem, at the returned point
     sigma: float
     err_sq: float  # (1/gamma)||r1||^2 + (1/delta)|r2|^2 at the returned point
     feas: float  # ||A W + b y + v - e||
     converged: bool
-    j1_size: int  # |J1| of the last Newton state
-    split: sncg.AdjointSplit  # A* pi of the last Newton state, split
-    AW: np.ndarray | None  # A W of the returned W when fresh, else None
 
 
 def _solve_quad_hinge(
     dataset: Dataset,
     C: float,
-    a_w: float,
     target: np.ndarray,
-    a_b: float,
     b_center: float,
     err_cap: float,
     warm: tuple,
-    gamma: float,
     AW: np.ndarray | None = None,
     base: sncg.AdjointSplit | None = None,
 ) -> _InnerResult:
-    """Inner augmented Lagrangian for the proximal (W, b) subproblem.
+    """Inner augmented Lagrangian for the proximal (W, b) subproblem, with
+    the weights 1 + GAMMA on ||W - target||^2 and DELTA_PROX on
+    (b - b_center)^2.
 
     The final Newton gradient *is* the stationarity residual of the
     subproblem at the updated multiplier, so the declared error is read
     off directly; the feasibility gap is driven below a matching cap.
     ``AW`` and ``base``, if given, are A W of the warm start and the split
     the first subproblem starts its updates of A* pi from; later ones
-    carry both on from the subproblem before.  The returned ``AW`` is the
-    last subproblem's fresh A W, or None when it made none.
+    carry both on from the subproblem before.
     """
     W, b, lam, sigma = warm
     n = dataset.n_samples
     hyper0 = Hyperparams(C=C, tau=0.0)
     # The declared error weights the blocks by 1/gamma and 1/delta, so a
     # gradient below this threshold keeps the weighted square under the cap.
-    grad_tol = np.sqrt(err_cap * min(gamma, DELTA_PROX) / 2.0)
+    grad_tol = np.sqrt(err_cap * min(GAMMA, DELTA_PROX) / 2.0)
     feas_cap = np.sqrt(err_cap) / (1.0 + C * np.sqrt(n))
     err_sq = np.inf
     feas = np.inf
-    v = np.zeros(n)
-    j1_size = 0
-    fresh = False
     converged = False
     for _ in range(INNER_MAX_OUTER):
         ctx = sncg.SubproblemContext(
@@ -122,9 +113,9 @@ def _solve_quad_hinge(
             hyper=hyper0,
             sigma=sigma,
             lam_k=lam,
-            w_weight=a_w,
+            w_weight=1.0 + GAMMA,
             w_target=target,
-            b_weight=a_b,
+            b_weight=DELTA_PROX,
             b_center=b_center,
         )
 
@@ -132,25 +123,19 @@ def _solve_quad_hinge(
             return state.grad_norm <= _tol, "gradient"
 
         sub = sncg.solve_subproblem(ctx, W, b, stop, AW0=AW, base=base)
-        AW, base, j1_size = sub.state.AW, sub.state.split, sub.state.j1.size
-        fresh = sub.fresh_AW
-        W, b, v = sub.W, sub.b, sub.v
-        lam_new = sub.lam_new
+        st = sub.state
+        W, b, AW, base = st.W, st.b, st.AW, st.split
+        lam_new = st.lam_new
         # grad at (W, b) with the box projection equals the subproblem
         # stationarity residual at lam_new.
-        err_sq = (
-            np.sum(sub.state.grad_W**2) / gamma
-            + sub.state.grad_b**2 / DELTA_PROX
-        )
+        err_sq = np.sum(st.grad_W**2) / GAMMA + st.grad_b**2 / DELTA_PROX
         feas = float(np.linalg.norm(lam_new - lam) / sigma)
         lam = lam_new
         if err_sq <= err_cap and feas <= feas_cap:
             converged = True
             break
         sigma = min(sigma * 5.0, 1e8)
-    return _InnerResult(
-        W, b, v, lam, sigma, float(err_sq), feas, converged, j1_size, base, AW if fresh else None
-    )
+    return _InnerResult(sub, sigma, float(err_sq), feas, converged)
 
 
 def solve_ispadmm(
@@ -165,7 +150,7 @@ def solve_ispadmm(
         config = AdmmConfig()
     t0 = time.perf_counter()
     p, q, n = dataset.p, dataset.q, dataset.n_samples
-    gamma = config.gamma
+    gamma = GAMMA
     if init is None:
         W = np.zeros((p, q))
         b = 0.0
@@ -185,9 +170,9 @@ def solve_ispadmm(
     cap_sum = 0.0
     converged = False
     res = obj = None
-    # One fresh A W and one fresh A* lam per iteration, shared as in
-    # alm.solve: by the KKT residual, the objective and the next inner
-    # solve's first state.
+    # One fresh A W and one fresh A* lam per iteration, from the last inner
+    # subproblem's hand-off, shared as in alm.solve: by the KKT residual,
+    # the objective and the next inner solve's first state.
     AW = np.zeros(n) if init is None else apply_A(dataset, W)
     At_lam = base = None
     j1_size = 0
@@ -197,31 +182,21 @@ def solve_ispadmm(
         target = (gamma * U - Lam) / (1.0 + gamma)
         cap = config.eps_bar(it - 1, n)
         inner = _solve_quad_hinge(
-            dataset,
-            hyper.C,
-            a_w=1.0 + gamma,
-            target=target,
-            a_b=DELTA_PROX,
-            b_center=b,
-            err_cap=cap,
-            warm=(W, b, lam, inner_sigma),
-            gamma=gamma,
-            AW=AW,
-            base=base,
+            dataset, hyper.C, target, b, cap, (W, b, lam, inner_sigma), AW, base
         )
         if not inner.converged:
             flags.append(f"inner-nonconvergence@{it}")
-        W, b, v, lam, inner_sigma = inner.W, inner.b, inner.v, inner.lam, inner.sigma
+        st = inner.last.state
+        W, b, v, lam, inner_sigma = st.W, st.b, st.v, st.lam_new, inner.sigma
         err_sum += inner.err_sq
         cap_sum += cap
-        j1_size = inner.j1_size
+        j1_size = st.j1.size
         nuc = prox.prox_nuclear(gamma * W + Lam, hyper.tau)
         U, k_bar = nuc.Y / gamma, nuc.k_bar
         Lam = Lam + ZETA * gamma * (W - U)
 
-        AW = inner.AW if inner.AW is not None else apply_A(dataset, W)
-        At_lam = apply_A_adjoint(dataset, lam)
-        base = sncg.rebase(inner.split, -At_lam, hyper.C)
+        AW, At_lam = inner.last.hand_off(dataset, hyper.C)
+        base = st.split
         res = kkt_residual(
             dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam), AW, At_lam
         )
@@ -262,7 +237,7 @@ def solve_sgs_ispadmm(
         config = AdmmConfig()
     t0 = time.perf_counter()
     p, q, n = dataset.p, dataset.q, dataset.n_samples
-    gamma = config.gamma
+    gamma = GAMMA
     y = dataset.labels
     signed = dataset.flat_features * y[:, None]  # rows y_i vec(X_i)
 

@@ -41,6 +41,7 @@ __all__ = [
     "SolveReport",
     "Solution",
     "criterion_A",
+    "resolve_sigma0",
     "sigma_update",
     "solve",
 ]
@@ -58,39 +59,28 @@ NUCLEAR_SIGMA0_CAP = 1e3
 SIGMA_GROWTH = 5.0
 EPS0 = 0.1
 EPS_RATIO = 0.5
+# The penalty never grows past SIGMA_MAX, and a failed subproblem is
+# retried at a grown penalty at most RETRY_LIMIT times in a row.
+SIGMA_MAX = 1e6
+RETRY_LIMIT = 3
 
 
 @dataclass
 class AlmConfig:
-    """Outer-loop parameters.
+    """Outer-loop parameters; the stop rules are ``solve``'s.
 
-    ``sigma0 = None`` resolves from the dataset being solved
-    (``resolve_sigma0``): ``min(sigma_max, max(min(10, max(1, 1/C)), 1/m))``
-    with ``m`` the mean of ``||vec X_i||^2``.  The penalty's unit is
-    ``1/||vec X_i||^2``: it multiplies ``A*A`` in the subproblem's Hessian,
-    next to the unit weight of ``||W||^2``, and a step dW moves omega_i by
-    ``sigma <X_i, dW>``, so the band J1 = {0 < omega_i < C} of rows in the
-    Newton system is narrow only once ``sigma m`` is of order one.  With
-    ``tau > 0`` the penalty also multiplies the nuclear prox's Jacobian
-    in that Hessian, where its unit is 1, so there ``1/m`` counts only up
-    to ``NUCLEAR_SIGMA0_CAP``.  The rule never starts below the fixed
-    ``min(10, max(1, 1/C))``, which it returns where features are large.
-    An explicit ``sigma0`` wins; it must be positive and at most
-    ``sigma_max``.  The penalty's growth factor and the accuracy sequence
-    are the module constants ``SIGMA_GROWTH``, ``EPS0`` and ``EPS_RATIO``.
+    A tolerance that is set must be positive: no float64 residual meets
+    a zero, negative or NaN one, and the solve would run out its budget.
     ``stop_mode`` switches the termination measure between the normalized
-    KKT residual and the raw residual norms.  ``reference_obj`` alone only
-    reports the relative objective gap; with ``relobj_tol`` it also stops
-    the solve.
+    KKT residual and the raw residual norms.  The penalty starts at
+    ``resolve_sigma0``; its cap, its growth, the accuracy sequence and the
+    retry budget are the module constants ``SIGMA_MAX``, ``SIGMA_GROWTH``,
+    ``EPS0``, ``EPS_RATIO`` and ``RETRY_LIMIT``.
     """
 
     kkt_tol: float = 1e-6
     max_outer_iter: int = 500
-    sigma0: float | None = None
-    sigma_max: float = 1e6
     stop_mode: str = "normalized"
-    retry_limit: int = 3
-    reference_obj: float | None = None
     relobj_tol: float | None = None
     time_limit: float | None = None
     sncg: sncg.SncgConfig = field(default_factory=sncg.SncgConfig)
@@ -98,21 +88,41 @@ class AlmConfig:
     def __post_init__(self):
         if self.stop_mode not in ("normalized", "raw"):
             raise ValueError("stop_mode must be 'normalized' or 'raw'")
-        if self.sigma_max <= 0:
-            raise ValueError("sigma_max must be positive")
-        if self.sigma0 is not None and not 0 < self.sigma0 <= self.sigma_max:
-            raise ValueError("sigma0 must lie in (0, sigma_max]")
+        _check_stop_rule(self, self.max_outer_iter, "max_outer_iter")
 
-    def resolve_sigma0(self, dataset: Dataset, hyper: Hyperparams) -> float:
-        """The initial penalty for ``dataset`` at ``hyper``."""
-        if self.sigma0 is not None:
-            return self.sigma0
-        m = dataset.mean_sq_feature_norm
-        data_rule = 1.0 / m if m > 0 else 0.0
-        if hyper.tau > 0:
-            data_rule = min(data_rule, NUCLEAR_SIGMA0_CAP)
-        fixed_rule = min(10.0, max(1.0, 1.0 / hyper.C))
-        return min(self.sigma_max, max(fixed_rule, data_rule))
+
+def _check_stop_rule(config, budget: int, budget_name: str):
+    """``AlmConfig``'s and ``admm.AdmmConfig``'s checks: set tolerances
+    positive (not NaN), the iteration budget nonnegative."""
+    for name in ("kkt_tol", "relobj_tol"):
+        tol = getattr(config, name)
+        if tol is not None and not tol > 0:
+            raise ValueError(f"{name} must be positive")
+    if budget < 0:
+        raise ValueError(f"{budget_name} must be nonnegative")
+
+
+def resolve_sigma0(dataset: Dataset, hyper: Hyperparams) -> float:
+    """The initial penalty for ``dataset`` at ``hyper``:
+    ``min(SIGMA_MAX, max(min(10, max(1, 1/C)), 1/m))`` with ``m`` the mean
+    of ``||vec X_i||^2``.
+
+    The penalty's unit is ``1/||vec X_i||^2``: it multiplies ``A*A`` in the
+    subproblem's Hessian, next to the unit weight of ``||W||^2``, and a
+    step dW moves omega_i by ``sigma <X_i, dW>``, so the band
+    J1 = {0 < omega_i < C} of rows in the Newton system is narrow only once
+    ``sigma m`` is of order one.  With ``tau > 0`` the penalty also
+    multiplies the nuclear prox's Jacobian in that Hessian, where its unit
+    is 1, so there ``1/m`` counts only up to ``NUCLEAR_SIGMA0_CAP``.  The
+    rule never starts below the fixed ``min(10, max(1, 1/C))``, which it
+    returns where features are large.
+    """
+    m = dataset.mean_sq_feature_norm
+    data_rule = 1.0 / m if m > 0 else 0.0
+    if hyper.tau > 0:
+        data_rule = min(data_rule, NUCLEAR_SIGMA0_CAP)
+    fixed_rule = min(10.0, max(1.0, 1.0 / hyper.C))
+    return min(SIGMA_MAX, max(fixed_rule, data_rule))
 
 
 @dataclass
@@ -142,7 +152,9 @@ class SolveReport:
     those solved by CG (``cg_iters``), the number solved directly, with
     no CG iteration (``direct_steps``), and the number taken from a state
     with J1 empty, whose b went to its exact minimizer at the current W
-    (``exact_b_steps``); see ``solve``.
+    (``exact_b_steps``); see ``solve``.  ``config`` echoes the config's
+    fields with C, tau and the solver's extras (ALM: ``sigma0_resolved``);
+    ``relobj`` is the gap to the solver's ``reference_obj``, None without.
     """
 
     solver: str
@@ -182,15 +194,15 @@ def criterion_A(
     return grad_norm <= (eps_k**2 / sigma) * (factor / (1.0 + x_norm + z_norm))
 
 
-def _grow(sigma: float, config: AlmConfig) -> float:
-    """One growth step, capped at ``sigma_max``; never lowers ``sigma``."""
-    return max(sigma, min(sigma * SIGMA_GROWTH, config.sigma_max))
+def _grow(sigma: float) -> float:
+    """One growth step, capped at ``SIGMA_MAX``; never lowers ``sigma``."""
+    return max(sigma, min(sigma * SIGMA_GROWTH, SIGMA_MAX))
 
 
-def sigma_update(sigma: float, config: AlmConfig, feas_prev: float | None, feas_new: float) -> float:
+def sigma_update(sigma: float, feas_prev: float | None, feas_new: float) -> float:
     """Grow the penalty unless primal feasibility at least halved."""
     if feas_prev is not None and feas_new > 0.5 * feas_prev:
-        return _grow(sigma, config)
+        return _grow(sigma)
     return sigma
 
 
@@ -220,6 +232,7 @@ def solve(
     dataset: Dataset,
     hyper: Hyperparams,
     config: AlmConfig | None = None,
+    reference_obj: float | None = None,
     init: StartPoint | None = None,
 ) -> Solution:
     """Run the augmented Lagrangian method to the requested KKT accuracy.
@@ -230,14 +243,15 @@ def solve(
     gradient sits at its float64 roundoff floor ("roundoff-floor"); see
     ``sncg``.  Only a real failure, a line-search stall above the floor or
     an exhausted Newton budget, triggers a retry: the penalty is escalated
-    and the step redone, at most ``retry_limit`` times in a row (flag
+    and the step redone, at most ``RETRY_LIMIT`` times in a row (flag
     ``subproblem-retry@k``).  After that the failed result is accepted
     with the flag ``subproblem-nonconvergence``, and the solve can no
     longer report ``converged``.
 
     The solve stops on ``_stop``'s reasons, shared with the ADMM solvers:
-    the KKT measure meets ``kkt_tol``, the relative objective gap meets
-    ``relobj_tol`` (flag ``stopped-on-relobj``), or ``time_limit`` passes
+    the KKT measure meets ``kkt_tol``, the relative objective gap to
+    ``reference_obj`` meets ``relobj_tol`` (flag ``stopped-on-relobj``; a
+    ``reference_obj`` alone only reports the gap), or ``time_limit`` passes
     (flag ``time-limit``); or else after ``max_outer_iter`` attempts.
     ``converged`` holds only for the first two and only if no subproblem
     failure was accepted.
@@ -267,7 +281,7 @@ def solve(
         lam = np.array(init.lam, dtype=np.float64, copy=True)
         Lam = np.array(init.Lam, dtype=np.float64, copy=True)
 
-    sigma = sigma0 = config.resolve_sigma0(dataset, hyper)
+    sigma = sigma0 = resolve_sigma0(dataset, hyper)
     history = []
     flags = []
     converged = False
@@ -279,11 +293,10 @@ def solve(
     last_j1 = 0
     last_alpha = 0
     outer = 0
-    # One fresh A W and one fresh A* lam per accepted iterate.  A W (the
-    # subproblem's when it made one for the state it returns) is shared by
-    # the KKT residual, the objective and the next subproblem's first state;
-    # A* lam = -A* pi by the KKT residual and, through sncg.rebase, by the
-    # next subproblem's updates of A* pi.
+    # One fresh A W and one fresh A* lam per accepted iterate, from the
+    # subproblem's hand-off: A W is shared by the KKT residual, the
+    # objective and the next subproblem's first state, A* lam = -A* pi by
+    # the KKT residual and the next subproblem's updates of A* pi.
     AW = np.zeros(n) if init is None else apply_A(dataset, W)
     base = None
 
@@ -314,24 +327,23 @@ def solve(
         history.append(row)
         if not sub.converged:
             retries += 1
-            if retries <= config.retry_limit:
+            if retries <= RETRY_LIMIT:
                 row["accepted"] = False
                 row["time"] = time.perf_counter() - t0
-                sigma = _grow(sigma, config)
+                sigma = _grow(sigma)
                 flags.append(f"subproblem-retry@{outer}")
                 continue
             flags.append("subproblem-nonconvergence")
         else:
             retries = 0
 
-        W, b, v, U = sub.W, sub.b, sub.v, sub.U
+        st = sub.state
+        W, b, v, U = st.W, st.b, st.v, st.U
         # The scaled-residual updates coincide with the proximal splits of
         # the subproblem, so the multipliers are taken from there directly.
-        lam = sub.lam_new
-        Lam = sub.Lam_new
-        AW = sub.state.AW if sub.fresh_AW else apply_A(dataset, W)
-        At_lam = apply_A_adjoint(dataset, lam)
-        base = sncg.rebase(sub.state.split, -At_lam, hyper.C)
+        lam, Lam = st.lam_new, st.Lam_new
+        AW, At_lam = sub.hand_off(dataset, hyper.C)
+        base = st.split
         res = kkt_residual(
             dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam), AW, At_lam
         )
@@ -346,21 +358,21 @@ def solve(
             time=time.perf_counter() - t0,
         )
         measure = res.eta if config.stop_mode == "normalized" else res.raw_max
-        why = _stop(config, measure, obj, config.reference_obj, t0)
+        why = _stop(config, measure, obj, reference_obj, t0)
         if why is not None:
             converged = why != "time-limit" and "subproblem-nonconvergence" not in flags
             if why != "kkt":
                 flags.append(why)
             break
         feas_new = max(res.components["lambda"], res.components["Lambda"])
-        sigma = sigma_update(sigma, config, feas_prev, feas_new)
+        sigma = sigma_update(sigma, feas_prev, feas_new)
         feas_prev = feas_new
 
     extra = {"sigma0_resolved": sigma0, "classify_tol": 1e-8 * hyper.C}
     return _finish(
         "alm-sncg", dataset, hyper, PrimalPoint(W, b, v, U), DualPoint(lam, Lam),
         res, obj, AW, At_lam, outer, converged, history, flags, config, extra, t0,
-        config.reference_obj, last_j1, last_alpha,
+        reference_obj, last_j1, last_alpha,
     )
 
 

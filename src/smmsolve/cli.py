@@ -149,25 +149,19 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
 
     if args.solver == "alm":
-        cfg = alm.AlmConfig(kkt_tol=args.tol, reference_obj=reference)
-        if args.max_iter:
-            cfg.max_outer_iter = args.max_iter
+        budget = {"max_outer_iter": args.max_iter} if args.max_iter else {}
+        cfg = alm.AlmConfig(kkt_tol=args.tol, **budget)
         init = None
         if args.warm_start_iters > 0:
             du, pr = admm.warm_start(ds, hyper, args.warm_start_iters)
             init = alm.StartPoint(W=pr.W, b=pr.b, lam=du.lam, Lam=du.Lam)
-        sol = alm.solve(ds, hyper, cfg, init=init)
-    elif args.solver in ("ispadmm", "sgs"):
-        cfg = admm.AdmmConfig(kkt_tol=args.tol)
-        if args.max_iter:
-            cfg.max_iter = args.max_iter
-        if reference is not None:
-            cfg.relobj_tol = args.tol
+        sol = alm.solve(ds, hyper, cfg, reference_obj=reference, init=init)
+    else:
+        budget = {"max_iter": args.max_iter} if args.max_iter else {}
+        relobj_tol = args.tol if reference is not None else None
+        cfg = admm.AdmmConfig(kkt_tol=args.tol, relobj_tol=relobj_tol, **budget)
         run = admm.solve_ispadmm if args.solver == "ispadmm" else admm.solve_sgs_ispadmm
         sol = run(ds, hyper, cfg, reference_obj=reference)
-    else:
-        print(f"error: unknown solver {args.solver!r}", file=sys.stderr)
-        return EXIT_USAGE
 
     if args.model:
         try:
@@ -272,7 +266,7 @@ def cmd_path(args) -> int:
 
 
 def _maybe_save_point_model(args, C, sol):
-    if getattr(args, "models_out", None):
+    if args.models_out:
         os.makedirs(args.models_out, exist_ok=True)
         path = os.path.join(args.models_out, f"model_C{C:.6g}.npz")
         data.save_model(path, data.Model(sol.primal.W, sol.primal.b))
@@ -311,26 +305,16 @@ def cmd_bench(args) -> int:
         ref = alm.solve(ds, hyper, ref_cfg)
         ref_obj = ref.report.objective
         row = {"C": C, "tau": tau, "reference_objective": ref_obj, "solvers": {}}
-        for name in ("alm", "ispadmm", "sgs"):
+        stop = dict(relobj_tol=args.eps, time_limit=args.time_limit)
+        admm_cfg = admm.AdmmConfig(kkt_tol=None, track_history=False, **stop)
+        solvers = (
+            ("alm", alm.solve, alm.AlmConfig(kkt_tol=1e-12, **stop)),
+            ("ispadmm", admm.solve_ispadmm, admm_cfg),
+            ("sgs", admm.solve_sgs_ispadmm, admm_cfg),
+        )
+        for name, run, cfg in solvers:
             t0 = time.perf_counter()
-            timed_out = False
-            if name == "alm":
-                cfg = alm.AlmConfig(
-                    kkt_tol=1e-12,
-                    reference_obj=ref_obj,
-                    relobj_tol=args.eps,
-                    time_limit=args.time_limit,
-                )
-                sol = alm.solve(ds, hyper, cfg)
-            else:
-                cfg = admm.AdmmConfig(
-                    kkt_tol=None,
-                    relobj_tol=args.eps,
-                    time_limit=args.time_limit,
-                    track_history=False,
-                )
-                run = admm.solve_ispadmm if name == "ispadmm" else admm.solve_sgs_ispadmm
-                sol = run(ds, hyper, cfg, reference_obj=ref_obj)
+            sol = run(ds, hyper, cfg, reference_obj=ref_obj)
             elapsed = time.perf_counter() - t0
             timed_out = "time-limit" in sol.report.flags
             relobj = sol.report.relobj

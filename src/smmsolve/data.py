@@ -11,6 +11,8 @@ from __future__ import annotations
 import io
 import os
 import struct
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,10 +283,22 @@ def save_model(path: str, model: Model, aux: dict | None = None) -> None:
 
 
 def load_model(path: str) -> tuple[Model, dict]:
-    """Load a model npz; extra arrays come back in the aux dict."""
-    with np.load(path) as data:
-        if "W" not in data or "b" not in data:
-            raise FormatError("model file lacks W/b entries")
-        model = Model(W=np.array(data["W"]), b=float(data["b"]))
-        aux = {k: np.array(data[k]) for k in data.files if k not in ("W", "b")}
-    return model, aux
+    """Load a model npz; extra arrays come back in the aux dict.
+
+    A file that is not a readable npz archive (truncated, or of another
+    format), or that lacks ``W`` or a scalar ``b``, raises ``FormatError``.
+    """
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("a .npy array")
+        with data:
+            arrays = {k: np.array(data[k]) for k in data.files}
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
+        raise FormatError(f"not a readable npz archive ({exc})") from exc
+    if "W" not in arrays or "b" not in arrays:
+        raise FormatError("model file lacks W/b entries")
+    if arrays["b"].shape != ():
+        raise FormatError(f"model b must be a scalar, got shape {arrays['b'].shape}")
+    model = Model(W=arrays.pop("W"), b=float(arrays.pop("b")))
+    return model, arrays

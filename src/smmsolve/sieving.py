@@ -49,7 +49,7 @@ class PathConfig:
 
     ``grid`` must be finite, positive and strictly increasing; the full
     solve that initializes the active set is at its first value.  ``eps``
-    bounds the six raw KKT residual norms of every solve, ``eps_hat``
+    (> 0) bounds the six raw KKT residual norms of every solve, ``eps_hat``
     widens the margin set carried to the next grid point, and ``d_max``
     caps the violated samples added in one sieving round.  ``warm_path``
     reads only ``grid``, ``tau`` and ``eps``.
@@ -65,8 +65,8 @@ class PathConfig:
         g = np.asarray(self.grid, dtype=np.float64)
         if g.size == 0 or not np.isfinite(g).all() or g.min() <= 0 or np.any(np.diff(g) <= 0):
             raise ValueError("grid must be finite, positive and strictly increasing")
-        if not (0 <= self.eps < np.inf and 0 <= self.eps_hat < np.inf):
-            raise ValueError("eps and eps_hat must be finite and nonnegative")
+        if not (0 < self.eps < np.inf and 0 <= self.eps_hat < np.inf):
+            raise ValueError("eps must be finite and positive, eps_hat finite and nonnegative")
         if self.d_max < 1:
             raise ValueError("d_max must be at least 1")
         self.grid = tuple(float(c) for c in g)

@@ -34,11 +34,12 @@ g = sum_{omega_i >= C} y_i X_i, g updated over the rows that crossed
 omega = C since the state before (a full pass instead when they exceed
 ``INCREMENTAL_MAX_SHARE`` of n).  The J1 rows are gathered once per state
 (kept when J1 does not change), for A* pi and the Newton operator both.
-Each subproblem starts from a fresh A* pi: the caller's (``rebase``; the
-ALM and ADMM outer loops make that pass for their KKT check anyway) or
-its own.  The SVD of the accepted line-search trial is reused by the
-next state.  A subproblem ending on R makes one fresh A W to return a
-state on all rows, which the caller uses in place of its own pass.
+Each subproblem starts from a fresh A* pi: the one its caller makes for
+the KKT check anyway (``SubproblemResult.hand_off`` returns A W and A* lam
+of a result and rebases its split on that pass), or its own.  The SVD of
+the accepted line-search trial is reused by the next state.  A subproblem
+ending on R makes one fresh A W to return a state on all rows, which
+``hand_off`` returns in place of a pass of its own.
 
 At small p q a step also has a cost that n does not change.  A system
 with |J1| at most ``DIRECT_MAX_J1`` (most steps: the median |J1| is
@@ -114,7 +115,6 @@ __all__ = [
     "eval_phi",
     "grad_phi",
     "compute_state",
-    "rebase",
     "newton_direction",
     "line_search",
     "b_minimizer",
@@ -553,17 +553,6 @@ def _screen(ctx, state: SubproblemState, rho_W: float, rho_b: float, rows: np.nd
         screen=screen,
         j1_rows=None,  # overwritten by R's rows
     )
-
-
-def rebase(split: AdjointSplit, At_pi: np.ndarray, C: float) -> AdjointSplit:
-    """``split`` with g re-derived from a fresh ``At_pi`` = A* pi_omega.
-
-    A caller that makes that full pass anyway (the KKT check needs
-    A* lam, and lam = -pi_omega) hands it back here; the next subproblem
-    then starts its updates of A* pi from it with zero drift instead of
-    making a pass of its own.
-    """
-    return replace(split, g=(np.ravel(At_pi) - split.j1_part) / C, drift=0.0)
 
 
 def compute_state(
@@ -1005,18 +994,31 @@ class SubproblemStats:
 
 @dataclass
 class SubproblemResult:
-    W: np.ndarray
-    b: float
-    v: np.ndarray
-    U: np.ndarray
-    lam_new: np.ndarray
-    Lam_new: np.ndarray
+    """The last state of a subproblem (on all rows: its W, b, the slacks
+    v, U and the multiplier candidates lam_new, Lam_new), how the solve
+    ended and its counts."""
+
     iterations: int
     converged: bool
     stop_reason: str
     state: SubproblemState
     stats: SubproblemStats
-    fresh_AW: bool = False  # state.AW is apply_A of W to the bit
+    fresh_AW: bool = False  # state.AW is apply_A of state.W to the bit
+
+    def hand_off(self, dataset: Dataset, C: float) -> tuple[np.ndarray, np.ndarray]:
+        """A W and A* lam at the state's point, lam = lam_new, both fresh.
+
+        A W is the state's own when it is fresh, else one pass.  The
+        state's split is rebased on A* lam = -A* pi (zero drift), for the
+        next subproblem to start its updates of A* pi from it with no pass
+        of its own: the caller's KKT check needs A* lam anyway.
+        """
+        state = self.state
+        AW = state.AW if self.fresh_AW else apply_A(dataset, state.W)
+        At_lam = apply_A_adjoint(dataset, state.lam_new)
+        split = state.split
+        state.split = replace(split, g=(np.ravel(-At_lam) - split.j1_part) / C, drift=0.0)
+        return AW, At_lam
 
 
 def solve_subproblem(
@@ -1040,14 +1042,15 @@ def solve_subproblem(
     multipliers are recovered from the final state's proximal splits.
 
     ``AW0``, if given, is A W0; A* pi starts from ``base``, the split of an
-    earlier subproblem's state on the same data and C, best ``rebase``d on
-    a fresh pass; without them the first state makes its own passes.  The
-    steps carry A W forward as ``A W + alpha A d`` and update A* pi over
-    the rows that crossed C; a step that stays within its anchor's ball
-    touches only the anchor's working set R (see the module docstring).
+    earlier subproblem's state on the same data and C, best rebased on a
+    fresh pass (``SubproblemResult.hand_off``); without them the first
+    state makes its own passes.  The steps carry A W forward as
+    ``A W + alpha A d`` and update A* pi over the rows that crossed C; a
+    step that stays within its anchor's ball touches only the anchor's
+    working set R (see the module docstring).
     The returned state is on all rows: a last state on R is evaluated
-    once more at a fresh A W, and ``fresh_AW`` then says that
-    ``state.AW`` is ``apply_A`` of the returned W to the bit.
+    once more at a fresh A W, which ``hand_off`` then returns in place of
+    a pass of its own.
     """
     if config is None:
         config = SncgConfig()
@@ -1121,12 +1124,6 @@ def solve_subproblem(
         state = _on_all_rows(ctx, state, rows)
     state.j1_rows = None  # lets the row block go
     return SubproblemResult(
-        W=W,
-        b=b,
-        v=state.v,
-        U=state.U,
-        lam_new=state.lam_new,
-        Lam_new=state.Lam_new,
         iterations=iterations,
         converged=converged,
         stop_reason=reason,

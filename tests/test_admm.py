@@ -16,9 +16,10 @@ def instance():
 
 
 class TestIsPadmm:
-    def test_fixed_point_with_large_gamma(self, instance):
+    def test_fixed_point_with_large_gamma(self, instance, monkeypatch):
         train, hyper, ref = instance
-        cfg = admm.AdmmConfig(gamma=1e4, max_iter=3, kkt_tol=None, track_history=False)
+        monkeypatch.setattr(admm, "GAMMA", 1e4)
+        cfg = admm.AdmmConfig(max_iter=3, kkt_tol=None, track_history=False)
         sol = admm.solve_ispadmm(train, hyper, cfg, init=(ref.primal, ref.dual))
         assert np.linalg.norm(sol.primal.W - ref.primal.W) <= 1e-8
         assert abs(sol.primal.b - ref.primal.b) <= 1e-8
@@ -143,10 +144,10 @@ def _run(solver, train, hyper, budget=None, reference_obj=None, **stop):
     """One solve by ``solver`` ("alm", "ispadmm" or "sgs") with the stop
     settings every config shares, and an iteration budget if given."""
     if solver == "alm":
-        cfg = alm.AlmConfig(reference_obj=reference_obj, **stop)
+        cfg = alm.AlmConfig(**stop)
         if budget is not None:
             cfg.max_outer_iter = budget
-        return alm.solve(train, hyper, cfg)
+        return alm.solve(train, hyper, cfg, reference_obj=reference_obj)
     cfg = admm.AdmmConfig(**stop)
     if budget is not None:
         cfg.max_iter = budget
@@ -189,7 +190,7 @@ class TestMultiplierDirections:
         one = admm.solve_sgs_ispadmm(train, hyper, cfg1)
         W, b, v, U = one.primal.W, one.primal.b, one.primal.v, one.primal.U
         lam, Lam = one.dual.lam, one.dual.Lam
-        gamma, zeta = cfg1.gamma, admm.ZETA
+        gamma, zeta = admm.GAMMA, admm.ZETA
         r_lam = apply_A(train, W) + b * train.labels + v - 1.0
         r_Lam = W - U
         np.testing.assert_allclose(lam, zeta * gamma * r_lam, atol=1e-12)
@@ -234,6 +235,16 @@ class TestWarmStart:
 
 
 class TestConfigValidation:
-    def test_gamma_positive(self):
-        with pytest.raises(ValueError):
-            admm.AdmmConfig(gamma=0.0)
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"kkt_tol": 0.0}, {"kkt_tol": -1e-6}, {"relobj_tol": 0.0}, {"relobj_tol": -1.0},
+         {"max_iter": -1}],
+        ids=["kkt_tol=0", "kkt_tol<0", "relobj_tol=0", "relobj_tol<0", "max_iter<0"],
+    )
+    def test_unreachable_stop_rule_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be"):
+            admm.AdmmConfig(**kwargs)
+
+    def test_disabled_tolerances_accepted(self):
+        cfg = admm.AdmmConfig(kkt_tol=None, relobj_tol=None, max_iter=0)
+        assert cfg.kkt_tol is None and cfg.relobj_tol is None

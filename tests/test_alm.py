@@ -40,59 +40,56 @@ class TestCriteria:
 
 class TestSigmaUpdate:
     def test_fast_decrease_holds_sigma(self):
-        cfg = alm.AlmConfig()
-        assert alm.sigma_update(2.0, cfg, feas_prev=1.0, feas_new=0.4) == 2.0
+        assert alm.sigma_update(2.0, feas_prev=1.0, feas_new=0.4) == 2.0
 
     def test_stagnation_grows_sigma(self):
-        cfg = alm.AlmConfig()
-        assert alm.sigma_update(2.0, cfg, feas_prev=1.0, feas_new=0.9) == 2.0 * alm.SIGMA_GROWTH
+        assert alm.sigma_update(2.0, feas_prev=1.0, feas_new=0.9) == 2.0 * alm.SIGMA_GROWTH
 
-    def test_growth_capped(self):
-        cfg = alm.AlmConfig(sigma_max=8.0)
+    def test_growth_capped(self, monkeypatch):
+        monkeypatch.setattr(alm, "SIGMA_MAX", 8.0)
         s = 2.0
         for _ in range(5):
-            s = alm.sigma_update(s, cfg, feas_prev=1.0, feas_new=1.0)
+            s = alm.sigma_update(s, feas_prev=1.0, feas_new=1.0)
         assert s == 8.0
 
     def test_first_iteration_holds(self):
-        cfg = alm.AlmConfig()
-        assert alm.sigma_update(3.0, cfg, feas_prev=None, feas_new=1.0) == 3.0
+        assert alm.sigma_update(3.0, feas_prev=None, feas_new=1.0) == 3.0
 
     def test_growth_never_lowers_sigma(self):
-        cfg = alm.AlmConfig()
-        assert alm.sigma_update(2e6, cfg, feas_prev=1.0, feas_new=0.9) == 2e6
-        assert alm.sigma_update(1e6, cfg, feas_prev=1.0, feas_new=0.9) == 1e6
+        assert alm.sigma_update(2e6, feas_prev=1.0, feas_new=0.9) == 2e6
+        assert alm.sigma_update(1e6, feas_prev=1.0, feas_new=0.9) == 1e6
 
-    def test_retry_at_the_cap_keeps_sigma(self, small_synth):
+    def test_retry_at_the_cap_keeps_sigma(self, small_synth, monkeypatch):
         # a two-step Newton budget makes subproblems fail and get retried
         train, _, _ = small_synth
-        cfg = alm.AlmConfig(
-            kkt_tol=1e-3, sigma0=50.0, sigma_max=50.0, retry_limit=2,
-            sncg=sncg.SncgConfig(max_newton_iter=2),
-        )
-        rep = alm.solve(train, Hyperparams(C=1.0, tau=1.0), cfg).report
+        hyper = Hyperparams(C=1.0, tau=1.0)
+        cap = alm.resolve_sigma0(train, hyper)
+        monkeypatch.setattr(alm, "SIGMA_MAX", cap)  # the start is at the cap
+        monkeypatch.setattr(alm, "RETRY_LIMIT", 2)
+        cfg = alm.AlmConfig(kkt_tol=1e-3, sncg=sncg.SncgConfig(max_newton_iter=2))
+        rep = alm.solve(train, hyper, cfg).report
         assert any(f.startswith("subproblem-retry@") for f in rep.flags)
-        assert [row["sigma"] for row in rep.history] == [50.0] * rep.n_outer
+        assert [row["sigma"] for row in rep.history] == [cap] * rep.n_outer
 
 
 class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"sigma0": 0.0},
-            {"sigma0": -1.0},
-            {"sigma_max": 0.0},
-            {"sigma_max": -1.0},
-            {"sigma0": 2e6},
-            {"sigma0": 20.0, "sigma_max": 10.0},
+            {"kkt_tol": 0.0},
+            {"kkt_tol": -1e-6},
+            {"kkt_tol": np.nan},
+            {"relobj_tol": 0.0},
+            {"max_outer_iter": -1},
         ],
+        ids=["kkt_tol=0", "kkt_tol<0", "kkt_tol=nan", "relobj_tol=0", "max_outer_iter<0"],
     )
-    def test_bad_penalty_rejected(self, kwargs):
-        with pytest.raises(ValueError, match="sigma"):
+    def test_unreachable_stop_rule_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be"):
             alm.AlmConfig(**kwargs)
 
-    def test_penalty_at_the_cap_accepted(self):
-        assert alm.AlmConfig(sigma0=10.0, sigma_max=10.0).sigma0 == 10.0
+    def test_zero_budget_accepted(self):
+        assert alm.AlmConfig(max_outer_iter=0).max_outer_iter == 0
 
 
 class TestInitialPenalty:
@@ -102,44 +99,36 @@ class TestInitialPenalty:
     def test_resolved_sigma0_follows_the_rule(self, small_synth, scale, C, tau):
         train, _, _ = small_synth
         ds = Dataset(train.features * scale, train.labels)
-        cfg = alm.AlmConfig()
         m = np.mean(np.sum(ds.flat_features**2, axis=1))
         data_rule = 1.0 / m if tau == 0 else min(1.0 / m, alm.NUCLEAR_SIGMA0_CAP)
         fixed_rule = min(10.0, max(1.0, 1.0 / C))
-        expected = min(cfg.sigma_max, max(fixed_rule, data_rule))
-        got = cfg.resolve_sigma0(ds, Hyperparams(C=C, tau=tau))
+        expected = min(alm.SIGMA_MAX, max(fixed_rule, data_rule))
+        got = alm.resolve_sigma0(ds, Hyperparams(C=C, tau=tau))
         assert got == pytest.approx(expected, rel=1e-12)
         if scale == 1e-3:  # 1/m is about 6.2e6
-            assert got == (cfg.sigma_max if tau == 0 else alm.NUCLEAR_SIGMA0_CAP)
+            assert got == (alm.SIGMA_MAX if tau == 0 else alm.NUCLEAR_SIGMA0_CAP)
         if scale == 10.0:  # 1/m is about 0.06
             assert got == fixed_rule
 
     def test_zero_features_keep_the_fixed_rule(self):
         ds = Dataset(np.zeros((4, 2, 3)), np.array([1.0, -1.0, 1.0, -1.0]))
-        assert alm.AlmConfig().resolve_sigma0(ds, Hyperparams(C=0.5, tau=1.0)) == 2.0
-
-    def test_explicit_sigma0_wins(self, small_synth):
-        train, _, _ = small_synth
-        cfg = alm.AlmConfig(sigma0=3.0)
-        assert cfg.resolve_sigma0(train, Hyperparams(C=1.0, tau=1.0)) == 3.0
-        rep = alm.solve(train, Hyperparams(C=1.0, tau=1.0), cfg).report
-        assert rep.history[0]["sigma"] == 3.0
-        assert rep.config["sigma0_resolved"] == 3.0
+        assert alm.resolve_sigma0(ds, Hyperparams(C=0.5, tau=1.0)) == 2.0
 
     def test_echo_is_the_first_attempts_sigma(self, small_synth):
         train, _, _ = small_synth
         hyper = Hyperparams(C=1.0, tau=1.0)
         rep = alm.solve(train, hyper, alm.AlmConfig()).report
         assert rep.config["sigma0_resolved"] == rep.history[0]["sigma"]
-        assert rep.history[0]["sigma"] == alm.AlmConfig().resolve_sigma0(train, hyper) > 1.0
+        assert rep.history[0]["sigma"] == alm.resolve_sigma0(train, hyper) > 1.0
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_fewer_outer_iterations_than_the_fixed_start(self, seed):
+    def test_fewer_outer_iterations_than_the_fixed_start(self, seed, monkeypatch):
         # README family, n = 2000 training rows; 1/m is about 6.3 there
         train, _, _ = sdata.gen_synthetic(sdata.SynthSpec(n=2500, p=20, q=20, r=5, seed=seed))
         hyper = Hyperparams(C=1.0, tau=10.0)
         data_rule = alm.solve(train, hyper, alm.AlmConfig(kkt_tol=1e-6)).report
-        fixed = alm.solve(train, hyper, alm.AlmConfig(kkt_tol=1e-6, sigma0=1.0)).report
+        monkeypatch.setattr(alm, "resolve_sigma0", lambda _ds, _hyper: 1.0)  # fixed rule at C=1
+        fixed = alm.solve(train, hyper, alm.AlmConfig(kkt_tol=1e-6)).report
         assert data_rule.converged and fixed.converged
         assert data_rule.history[0]["sigma"] > 6.0
         assert data_rule.n_outer < fixed.n_outer
@@ -158,13 +147,14 @@ class TestMultiplierUpdate:
         res = sncg.solve_subproblem(
             ctx, np.zeros((4, 4)), 0.0, lambda st, i: (st.grad_norm <= 1e-9, "g")
         )
-        omega = -lam - sigma * (apply_A(ds, res.W) + res.b * ds.labels - 1.0)
-        step2 = lam + sigma * (apply_A(ds, res.W) + res.b * ds.labels + res.v - 1.0)
-        np.testing.assert_allclose(res.lam_new, -np.clip(omega, 0, hyper.C), atol=1e-13)
-        np.testing.assert_allclose(step2, res.lam_new, atol=1e-10)
+        st = res.state
+        omega = -lam - sigma * (apply_A(ds, st.W) + st.b * ds.labels - 1.0)
+        step2 = lam + sigma * (apply_A(ds, st.W) + st.b * ds.labels + st.v - 1.0)
+        np.testing.assert_allclose(st.lam_new, -np.clip(omega, 0, hyper.C), atol=1e-13)
+        np.testing.assert_allclose(step2, st.lam_new, atol=1e-10)
         # Lambda update identity: Lam + sigma (W - U) = projection part of Xk
-        step2_Lam = Lam + sigma * (res.W - res.U)
-        np.testing.assert_allclose(step2_Lam, res.Lam_new, atol=1e-10)
+        step2_Lam = Lam + sigma * (st.W - st.U)
+        np.testing.assert_allclose(step2_Lam, st.Lam_new, atol=1e-10)
 
 
 class TestSolve:
@@ -239,8 +229,8 @@ class TestSolve:
         train, _, _ = small_synth
         hyper = Hyperparams(C=1.0, tau=1.0)
         ref = alm.solve(train, hyper, alm.AlmConfig(kkt_tol=1e-9))
-        cfg = alm.AlmConfig(kkt_tol=1e-14, reference_obj=ref.report.objective, relobj_tol=1e-5)
-        sol = alm.solve(train, hyper, cfg)
+        cfg = alm.AlmConfig(kkt_tol=1e-14, relobj_tol=1e-5)
+        sol = alm.solve(train, hyper, cfg, reference_obj=ref.report.objective)
         assert sol.report.converged
         assert sol.report.relobj <= 1e-5
 
@@ -273,10 +263,11 @@ class TestRoundoffAwareTail:
 
 
 class TestAttemptHistory:
-    def test_every_attempt_has_a_row(self, small_synth):
+    def test_every_attempt_has_a_row(self, small_synth, monkeypatch):
         # a two-step Newton budget makes subproblems fail and get retried
         train, _, _ = small_synth
-        cfg = alm.AlmConfig(kkt_tol=1e-3, retry_limit=1, sncg=sncg.SncgConfig(max_newton_iter=2))
+        monkeypatch.setattr(alm, "RETRY_LIMIT", 1)
+        cfg = alm.AlmConfig(kkt_tol=1e-3, sncg=sncg.SncgConfig(max_newton_iter=2))
         rep = alm.solve(train, Hyperparams(C=1.0, tau=1.0), cfg).report
         assert len(rep.history) == rep.n_outer
         assert [row["outer"] for row in rep.history] == list(range(1, rep.n_outer + 1))
@@ -287,9 +278,10 @@ class TestAttemptHistory:
             assert row["stop_reason"] and row["cg_iters"] >= 0
             assert ("eta_kkt" in row) == row["accepted"]
 
-    def test_accepted_failure_is_never_converged(self, small_synth):
+    def test_accepted_failure_is_never_converged(self, small_synth, monkeypatch):
         train, _, _ = small_synth
-        cfg = alm.AlmConfig(kkt_tol=1e-3, retry_limit=0, sncg=sncg.SncgConfig(max_newton_iter=2))
+        monkeypatch.setattr(alm, "RETRY_LIMIT", 0)
+        cfg = alm.AlmConfig(kkt_tol=1e-3, sncg=sncg.SncgConfig(max_newton_iter=2))
         rep = alm.solve(train, Hyperparams(C=1.0, tau=1.0), cfg).report
         assert "subproblem-nonconvergence" in rep.flags
         # the KKT target is met, but a failed subproblem was taken on the way

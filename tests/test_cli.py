@@ -69,9 +69,7 @@ class TestTrain:
         rep = json.load(open(report))
         ds = sdata.load_dataset(train)
         assert rep["config"]["sigma0_resolved"] == rep["trace"][0]["sigma"]
-        assert rep["trace"][0]["sigma"] == alm.AlmConfig().resolve_sigma0(
-            ds, Hyperparams(C=1.0, tau=1.0)
-        )
+        assert rep["trace"][0]["sigma"] == alm.resolve_sigma0(ds, Hyperparams(C=1.0, tau=1.0))
 
     def test_report_self_contained(self, ws):
         # recompute the KKT residual from the serialized artifacts
@@ -139,15 +137,27 @@ class TestTrain:
         assert rc == cli.EXIT_IO
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver", ["alm", "ispadmm"])
+    @pytest.mark.parametrize(
+        "flags", [["--tol", "0"], ["--tol", "-1"], ["--max-iter", "-4"]],
+        ids=["tol=0", "tol<0", "max-iter<0"],
+    )
+    def test_unreachable_stop_rule_usage_error(self, ws, capsys, solver, flags):
+        # rejected before any iteration, not run out to the budget
+        root, train, _ = ws
+        rc = cli.main(["train", "--data", train, "--C", "1", "--tau", "1",
+                       "--solver", solver, *flags])
+        assert rc == cli.EXIT_USAGE
+        assert "must be" in capsys.readouterr().err
+
     def test_failed_subproblem_exits_nonconverged(self, ws, monkeypatch):
         # a two-step Newton budget with no retries forces an accepted
         # subproblem failure; the solve may meet --tol but is not converged
         root, train, _ = ws
         plain = alm.AlmConfig
+        monkeypatch.setattr(alm, "RETRY_LIMIT", 0)
         monkeypatch.setattr(
-            alm,
-            "AlmConfig",
-            lambda **kw: plain(retry_limit=0, sncg=sncg.SncgConfig(max_newton_iter=2), **kw),
+            alm, "AlmConfig", lambda **kw: plain(sncg=sncg.SncgConfig(max_newton_iter=2), **kw)
         )
         report = str(root / "failed_sub.json")
         rc = cli.main(["train", "--data", train, "--C", "1", "--tau", "1",
@@ -230,6 +240,17 @@ class TestPredict:
         assert rc == cli.EXIT_OK
         rep = json.load(open(str(tmp_path / "acc.json")))
         assert rep["accuracy"] == pytest.approx(float(np.mean(ds.labels == 1.0)))
+
+    @pytest.mark.parametrize("kind", ["truncated", "not-a-zip"])
+    def test_unreadable_model_is_an_io_error(self, ws, tmp_path, capsys, kind):
+        root, train, test = ws
+        model = tmp_path / "bad.npz"
+        sdata.save_model(str(model), sdata.Model(W=np.zeros((4, 4)), b=1.0), aux={"lam": np.ones(200)})
+        raw = model.read_bytes()
+        model.write_bytes(raw[: len(raw) // 2] if kind == "truncated" else b"not a model\n")
+        rc = cli.main(["predict", "--model", str(model), "--data", test])
+        assert rc == cli.EXIT_IO
+        assert "npz" in capsys.readouterr().err
 
     def test_model_shape_mismatch_is_a_data_error(self, ws, tmp_path, capsys):
         root, train, test = ws

@@ -1,3 +1,4 @@
+import io
 import os
 import struct
 import tracemalloc
@@ -193,3 +194,21 @@ class TestModelIO:
         np.savez(path, X=np.ones(3))
         with pytest.raises(sdata.FormatError):
             sdata.load_model(path)
+
+    @pytest.mark.parametrize("kind", ["truncated", "not-a-zip", "npy", "no-W", "no-b", "vector-b"])
+    def test_bad_model_file_is_a_format_error(self, tmp_path, rng, kind):
+        path = tmp_path / "m.npz"
+        W = rng.standard_normal((3, 2))
+        arrays = {"no-W": {"b": np.float64(0.5)}, "no-b": {"W": W}, "vector-b": {"W": W, "b": np.ones(2)}}
+        if kind in arrays:
+            np.savez(path, **arrays[kind])
+        else:
+            sdata.save_model(str(path), sdata.Model(W=W, b=0.5), aux={"lam": np.ones(400)})
+            npy = io.BytesIO()
+            np.save(npy, W)
+            raw = path.read_bytes()
+            path.write_bytes(
+                {"truncated": raw[: len(raw) // 2], "not-a-zip": b"W,b\n1,2\n", "npy": npy.getvalue()}[kind]
+            )
+        with pytest.raises(sdata.FormatError):
+            sdata.load_model(str(path))

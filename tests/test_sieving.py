@@ -177,6 +177,7 @@ class TestPathConfig:
             {"grid": (1.0,), "eps": -1e-6},
             {"grid": (1.0,), "eps_hat": np.nan},
             {"grid": (1.0,), "d_max": 0},
+            {"grid": (1.0,), "eps": 0.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -132,7 +132,7 @@ class TestGradPhi:
             ctx, np.zeros((3, 3)), 0.0, grad_tol_stop(1e-9)
         )
         assert res.converged
-        gW, gb = sncg.grad_phi(ctx, res.W, res.b)
+        gW, gb = sncg.grad_phi(ctx, res.state.W, res.state.b)
         assert np.sqrt(np.sum(gW**2) + gb**2) <= 1e-9
 
 
@@ -209,7 +209,7 @@ class TestNewtonDirection:
         # force an exactly-zero gradient: rhs = 0 must return d = 0
         state.grad_W = np.zeros_like(state.grad_W)
         state.grad_b = 0.0
-        d_W, d_b, iters, _ = sncg.newton_direction(ctx, res.W, res.b, ws, 1e-10, state=state)
+        d_W, d_b, iters, _ = sncg.newton_direction(ctx, res.state.W, res.state.b, ws, 1e-10, state=state)
         assert np.all(d_W == 0.0) and d_b == 0.0 and iters == 0
 
     def test_operator_positive_definite_and_selfadjoint(self, rng):
@@ -328,7 +328,7 @@ class TestDirectDirection:
         elif kind == "tau0":
             ctx = banded_context(rng, p, q, 9, tau=0.0)
         else:  # the proximal subproblem of ISPADMM
-            gamma = admm.AdmmConfig().gamma
+            gamma = admm.GAMMA
             ctx = banded_context(
                 rng, p, q, 9, tau=0.0, w_weight=1.0 + gamma, b_weight=admm.DELTA_PROX,
                 w_target=rng.standard_normal((p, q)), b_center=0.3,
@@ -389,11 +389,11 @@ class TestLineSearch:
         # step passes Armijo on the first try
         ctx = make_context(rng, n=20, p=3, q=4)
         warm = sncg.solve_subproblem(ctx, np.zeros((3, 4)), 0.0, grad_tol_stop(1e-5))
-        state = sncg.compute_state(ctx, warm.W, warm.b)
+        state = sncg.compute_state(ctx, warm.state.W, warm.state.b)
         ws = sncg.NewtonWorkspace(ctx, state, sncg.SncgConfig())
-        d_W, d_b, _, _ = sncg.newton_direction(ctx, warm.W, warm.b, ws, 1e-12, state=state)
+        d_W, d_b, _, _ = sncg.newton_direction(ctx, warm.state.W, warm.state.b, ws, 1e-12, state=state)
         alpha, evals, _, _, stalled = sncg.line_search(
-            ctx, warm.W, warm.b, d_W, d_b, sncg.SncgConfig(), state=state
+            ctx, warm.state.W, warm.state.b, d_W, d_b, sncg.SncgConfig(), state=state
         )
         assert not stalled and alpha == 1.0 and evals == 1
 
@@ -494,7 +494,7 @@ class TestSolveSubproblem:
     def test_warm_start_at_minimizer_stops_immediately(self, rng):
         ctx = make_context(rng, n=25, p=4, q=3)
         first = sncg.solve_subproblem(ctx, np.zeros((4, 3)), 0.0, grad_tol_stop(1e-10))
-        again = sncg.solve_subproblem(ctx, first.W, first.b, grad_tol_stop(1e-9))
+        again = sncg.solve_subproblem(ctx, first.state.W, first.state.b, grad_tol_stop(1e-9))
         assert again.iterations == 0 and again.converged
 
     def test_monotone_descent(self, rng):
@@ -511,10 +511,10 @@ class TestSolveSubproblem:
         ctx = make_context(rng, n=18, p=3, q=4, sigma=2.0)
         res = sncg.solve_subproblem(ctx, np.zeros((3, 4)), 0.0, grad_tol_stop(1e-8))
         ds = ctx.dataset
-        omega = -ctx.lam_k - ctx.sigma * (apply_A(ds, res.W) + res.b * ds.labels - 1.0)
+        omega = -ctx.lam_k - ctx.sigma * (apply_A(ds, res.state.W) + res.state.b * ds.labels - 1.0)
         v_oracle = (omega - np.clip(omega, 0, ctx.hyper.C)) / ctx.sigma
-        np.testing.assert_allclose(res.v, v_oracle, atol=1e-12)
-        np.testing.assert_allclose(res.lam_new, -np.clip(omega, 0, ctx.hyper.C), atol=1e-12)
+        np.testing.assert_allclose(res.state.v, v_oracle, atol=1e-12)
+        np.testing.assert_allclose(res.state.lam_new, -np.clip(omega, 0, ctx.hyper.C), atol=1e-12)
 
     def test_superlinear_tail(self, rng):
         # gradient norms should collapse fast near the end
@@ -552,7 +552,7 @@ class TestEmptyJ1Steps:
         hyper = Hyperparams(C=1.0, tau=tau)
         config = alm.AlmConfig(kkt_tol=1e-8)
         # at the origin every omega_i = sigma0 >= C: J1 is empty
-        assert config.resolve_sigma0(train, hyper) >= hyper.C
+        assert alm.resolve_sigma0(train, hyper) >= hyper.C
         seen = self.spy_line_search(monkeypatch)
         sol = alm.solve(train, hyper, config)
         assert sol.report.converged and sol.report.eta_kkt <= 1e-8
@@ -581,7 +581,7 @@ class TestEmptyJ1Steps:
         assert state.j1.size == 0 and state.grad_b < 0.0
         res = sncg.solve_subproblem(ctx, np.zeros((1, 1)), 0.0, grad_tol_stop(1e-12))
         assert res.converged and res.iterations == res.stats.exact_b_steps == 1
-        assert res.b == pytest.approx(5.0 / 6.0, rel=1e-14)
+        assert res.state.b == pytest.approx(5.0 / 6.0, rel=1e-14)
 
 
 class TestQuadraticVariant:
@@ -608,7 +608,7 @@ class TestQuadraticVariant:
         res = sncg.solve_subproblem(ctx, W, b, grad_tol_stop(1e-10))
         assert res.converged
         # stationarity: a_w (W - T) + A* lam_new = grad at the solution
-        resid = 2.5 * (res.W - target) + apply_A_adjoint(ds, res.lam_new)
+        resid = 2.5 * (res.state.W - target) + apply_A_adjoint(ds, res.state.lam_new)
         assert np.linalg.norm(resid) <= 1e-9
 
 
@@ -640,7 +640,7 @@ class TestRoundoffStops:
         at_floor = sncg.solve_subproblem(ctx, np.zeros((3, 4)), 0.0, never_stop)
         # a single-trial line search stalls on any step Armijo rejects
         cfg = sncg.SncgConfig(ls_max_backtracks=1)
-        again = sncg.solve_subproblem(ctx, at_floor.W, at_floor.b, never_stop, cfg)
+        again = sncg.solve_subproblem(ctx, at_floor.state.W, at_floor.state.b, never_stop, cfg)
         assert again.converged and again.stop_reason == "roundoff-floor"
         assert again.iterations == 0
 
@@ -723,8 +723,8 @@ class TestIncrementalProducts:
         assert res.converged and res.iterations >= 3
         # one A d per line search and no A W of its own
         assert calls["A"] == res.iterations
-        size = ds.row_norms * np.sqrt(np.sum(res.W * res.W) + res.b**2)
-        drift = np.abs(res.state.AW - apply_A(ds, res.W))
+        size = ds.row_norms * np.sqrt(np.sum(res.state.W * res.state.W) + res.state.b**2)
+        drift = np.abs(res.state.AW - apply_A(ds, res.state.W))
         assert np.all(drift <= sncg.ROUNDOFF_FACTOR * np.finfo(np.float64).eps * size)
 
     def test_incremental_adjoint_within_floor(self, monkeypatch):
@@ -770,19 +770,24 @@ class TestIncrementalProducts:
         rng = np.random.default_rng(15)
         ctx = make_context(rng, n=200, p=4, q=5)
         first = sncg.solve_subproblem(ctx, np.zeros((4, 5)), 0.0, grad_tol_stop(1e-6))
-        fresh = apply_A_adjoint(ctx.dataset, first.state.pi_omega)
-        # g and its drift come from the fresh pass, whatever the state held
-        split = first.state.split
-        stale = replace(split, g=np.zeros_like(split.g), drift=1.0)
-        base = sncg.rebase(stale, fresh, ctx.hyper.C)
-        assert base.drift == 0.0
+        st = first.state
+        # g and its drift come from the hand-off's pass, whatever the state held
+        split = st.split
+        st.split = replace(split, g=np.zeros_like(split.g), drift=1.0)
+        calls = self.count_passes(monkeypatch)
+        AW, At_lam = first.hand_off(ctx.dataset, ctx.hyper.C)
+        assert calls["At"] == 1 and calls["A"] <= 1
+        np.testing.assert_array_equal(At_lam, apply_A_adjoint(ctx.dataset, st.lam_new))
+        np.testing.assert_array_equal(AW, apply_A(ctx.dataset, st.W))
+        base = st.split
+        assert base.drift == 0.0 and base.in_j2 is split.in_j2
         ctx2 = sncg.SubproblemContext(
             dataset=ctx.dataset, hyper=ctx.hyper, sigma=ctx.sigma,
-            lam_k=first.lam_new, Lam_k=first.Lam_new,
+            lam_k=st.lam_new, Lam_k=st.Lam_new,
         )
         calls = self.count_passes(monkeypatch)
         rows = np.empty(ctx.dataset.flat_features.shape)
-        state = sncg.compute_state(ctx2, first.W, first.b, base=base, rows=rows)
+        state = sncg.compute_state(ctx2, st.W, st.b, base=base, rows=rows)
         assert calls["At"] == 0
         assert self.adjoint_error(ctx2, state) <= floor_of(state)
 
@@ -922,10 +927,13 @@ class TestScreenedSteps:
         res = sncg.solve_subproblem(ctx, W0, b, never_stop, AW0=apply_A(ds, W0))
         assert res.converged and res.iterations >= 3
         # the first step runs on all rows; the screened ones make no pass,
-        # and the returned state costs one fresh A W
-        assert res.fresh_AW
-        assert calls["A"] < res.iterations
-        np.testing.assert_array_equal(res.state.AW, apply_A(ds, res.W))
+        # and the returned state costs one fresh A W, which the hand-off
+        # returns without a pass of its own
+        passes = calls["A"]
+        assert passes < res.iterations
+        AW, _ = res.hand_off(ds, ctx.hyper.C)
+        assert calls["A"] == passes and AW is res.state.AW
+        np.testing.assert_array_equal(AW, apply_A(ds, res.state.W))
         assert res.state.screen.idx is None and res.state.v is not None
 
     def test_screened_line_search_hands_back_its_products(self, small_synth):
