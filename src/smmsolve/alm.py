@@ -144,8 +144,8 @@ class SolveReport:
     solver's last nuclear prox (``k_bar``), and ``j1_size`` is |J1|, the
     samples with ``0 < omega < C``, at the state the last subproblem
     returned (for ISPADMM, its last inner one).  sGS-ISPADMM
-    reports ``j1_size = 0``: it updates W by CG on the full data and
-    never forms a Newton state.
+    reports ``j1_size = 0``: it updates W by an exact solve on the full
+    data and never forms a Newton state.
 
     ``history`` has one row per outer iteration.  An ALM row counts its
     subproblem's Newton steps (``newton_iters``), the CG iterations of
@@ -407,10 +407,11 @@ def _finish(
 
     ``res``, ``obj`` and ``At_lam`` are the KKT residual, the objective and
     A* lam of the last iterate (``At_lam`` may be None); ``AW`` is its
-    A W.  With ``res = None`` the solver made no iterate (a zero budget,
-    or every ALM attempt retried), and the residual and the objective are
-    taken at the start point.  The config echo is ``config`` with C, tau
-    and ``extra``.
+    A W.  With ``res = None`` the solver formed no residual at its last
+    point (a zero budget, every ALM attempt retried, or an sGS solve that
+    nothing read the residual of), and the residual and the objective are
+    formed here at ``primal``/``dual``, the start point if no iterate was
+    made.  The config echo is ``config`` with C, tau and ``extra``.
     """
     if res is None:
         At_lam = apply_A_adjoint(dataset, dual.lam)

@@ -783,23 +783,17 @@ def cg(
     rhs: np.ndarray,
     tol: float,
     max_iter: int,
-    x0: np.ndarray | None = None,
 ):
     """Conjugate gradients for a self-adjoint positive definite operator,
-    unpreconditioned.
+    unpreconditioned, from zero.
 
     Stops when the residual norm drops to ``tol`` in the absolute sense.
-    Returns (x, iterations, residual, converged), where the residual
-    is the norm of the one the recurrence carries: it follows rhs - A x up
-    to roundoff, and costs no further application of the operator.  A
-    caller that needs the true residual recomputes it.
+    Returns (x, iterations, residual, converged), where the residual is the
+    norm of the one the recurrence carries: it follows rhs - A x up to
+    roundoff, and costs no further application of the operator.
     """
-    if x0 is None:
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
-    else:
-        x = x0.astype(np.float64, copy=True)
-        r = rhs - apply_op(x)
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
     res = math.sqrt(r @ r)
     if res <= tol:
         return x, 0, res, True

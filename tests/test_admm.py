@@ -15,6 +15,15 @@ def instance():
     return train, hyper, ref
 
 
+@pytest.fixture(scope="module")
+def wide_instance():
+    # pq = 96 features on 80 training rows: sGS's W solve takes the Woodbury form
+    train, _, _ = sdata.gen_synthetic(sdata.SynthSpec(n=100, p=8, q=12, r=2, seed=4))
+    hyper = Hyperparams(C=1.0, tau=1.0)
+    ref = alm.solve(train, hyper, alm.AlmConfig(kkt_tol=1e-10))
+    return train, hyper, ref
+
+
 class TestIsPadmm:
     def test_fixed_point_with_large_gamma(self, instance, monkeypatch):
         train, hyper, ref = instance
@@ -78,13 +87,26 @@ class TestSgsIsPadmm:
         assert sol.report.converged
         assert sol.report.relobj <= 1e-6
 
-    def test_w_update_residual_contract(self, instance):
-        train, hyper, ref = instance
-        cfg = admm.AdmmConfig(kkt_tol=None, relobj_tol=1e-4)
+    def test_reaches_reference_objective_with_more_features_than_samples(self, wide_instance):
+        train, hyper, ref = wide_instance
+        cfg = admm.AdmmConfig(kkt_tol=None, relobj_tol=1e-6)
         sol = admm.solve_sgs_ispadmm(train, hyper, cfg, reference_obj=ref.report.objective)
-        hist = sol.report.history
-        assert hist
-        assert all(h["w_update_resid"] <= h["w_update_cap"] + 1e-12 for h in hist)
+        assert sol.report.converged
+        assert sol.report.relobj <= 1e-6
+
+    @pytest.mark.parametrize("name", ["instance", "wide_instance"], ids=["pq<=n", "pq>n"])
+    def test_w_update_is_exact(self, request, name):
+        # one sweep from the origin, where v, U, lam and Lam are zero and
+        # b_bar is the mean label: W must solve M w = rhs to roundoff
+        train, hyper, _ = request.getfixturevalue(name)
+        one = admm.solve_sgs_ispadmm(train, hyper, admm.AdmmConfig(max_iter=1, kkt_tol=None))
+        gamma, y = admm.GAMMA, train.labels
+        S = train.flat_features * y[:, None]
+        assert (S.shape[1] <= S.shape[0]) == (name == "instance")
+        rhs = S.T @ (gamma * (1.0 - y.mean() * y))
+        M = (1.0 + gamma) * np.eye(S.shape[1]) + gamma * (S.T @ S)
+        resid = M @ one.primal.W.ravel() - rhs
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_needs_many_more_iterations_than_ispadmm(self, instance):
         train, hyper, ref = instance
@@ -121,10 +143,25 @@ class TestReport:
         cls = classify_samples(sol.dual.lam, hyper.C)
         assert sol.report.j1_size == cls.asm_count
 
-    @pytest.mark.parametrize("solver", [admm.solve_ispadmm, admm.solve_sgs_ispadmm])
-    def test_reported_eta_is_a_fresh_recompute(self, instance, solver):
-        train, hyper, _ = instance
-        sol = solver(train, hyper, admm.AdmmConfig(kkt_tol=1e-6, track_history=False))
+    @pytest.mark.parametrize(
+        "solver, cfg",
+        [
+            (run, cfg)
+            for cfg in (
+                admm.AdmmConfig(kkt_tol=1e-6, track_history=False),
+                # nothing reads the per-iteration residual: sGS forms none
+                admm.AdmmConfig(kkt_tol=None, relobj_tol=1e-6, track_history=False),
+            )
+            for run in (admm.solve_ispadmm, admm.solve_sgs_ispadmm)
+        ],
+        ids=[
+            "solve_ispadmm", "solve_sgs_ispadmm", "solve_ispadmm-relobj", "solve_sgs_ispadmm-relobj"
+        ],
+    )
+    def test_reported_eta_is_a_fresh_recompute(self, instance, solver, cfg):
+        train, hyper, ref = instance
+        sol = solver(train, hyper, cfg, reference_obj=ref.report.objective)
+        assert sol.report.converged
         fresh = kkt_residual(train, hyper, sol.primal, sol.dual)
         assert sol.report.eta_kkt == fresh.eta
         assert sol.report.raw_components == fresh.raw

@@ -35,8 +35,9 @@ import time
 from pathlib import Path
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# The benchmark's workloads (bench/harness.py): n samples, p x q features.
-WORKLOADS = {"readme": (2500, 20, 20), "tall": (6250, 20, 20)}
+# n samples, p x q features: the benchmark's workloads (bench/harness.py),
+# and ``wide``, whose pq = 4000 exceeds its 2000 training rows.
+WORKLOADS = {"readme": (2500, 20, 20), "tall": (6250, 20, 20), "wide": (2500, 50, 80)}
 RANK = 5
 C, TAU = 1.0, 10.0
 RELOBJ_TOL = 1e-6
